@@ -10,17 +10,7 @@ anchor objective over that fixed-point set.
 __version__ = "0.1.0"
 
 from .gen import GenConfig, GeneratedInstance, GenerationFailed, generate, pd_from_factor, random_instance
-from .maps import (
-    ExcessEvaluator,
-    InnerSolveFailed,
-    MapEvaluation,
-    demand,
-    excess,
-    nat_map,
-    project_price,
-    supply,
-    vi_residual,
-)
+from .maps import ExcessEvaluator, InnerSolveFailed, MapEvaluation
 from .model import (
     AgentCosts,
     FeasibleSet,
@@ -91,8 +81,6 @@ __all__ = [
     "bilevel_solve",
     "check_kkt",
     "compute_constants",
-    "demand",
-    "excess",
     "feasible_point",
     "gamma_k",
     "generate",
@@ -102,14 +90,10 @@ __all__ = [
     "instance_to_json",
     "km_fixed_point",
     "load_instance",
-    "nat_map",
     "pd_from_factor",
-    "project_price",
     "random_instance",
     "save_instance",
     "schedule_default",
     "solve_qp",
-    "supply",
     "validate_instance",
-    "vi_residual",
 ]

@@ -73,10 +73,9 @@ def _solve_instance(
     weight: float,
     trace_every: int,
     start=None,
-) -> tuple[SolveReport, ExcessEvaluator]:
-    evaluator = ExcessEvaluator(instance)
-    report = bilevel_solve(
-        evaluator.map_oracle(eta=eta),
+) -> SolveReport:
+    return bilevel_solve(
+        ExcessEvaluator(instance).map_oracle(eta=eta),
         Objective(p0=instance.p0, weight=weight),
         instance.domain,
         schedule=schedule,
@@ -85,7 +84,6 @@ def _solve_instance(
         start=start,
         trace_vi_every=trace_every,
     )
-    return report, evaluator
 
 
 def _write_trace(path: Path, report: SolveReport) -> None:
@@ -126,50 +124,35 @@ def _load_and_validate(path: str) -> ModelInstance:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    """Handler of ``solve`` (report JSON, optional trace) and ``trace`` (trace CSV)."""
     try:
         instance = _load_and_validate(args.instance)
         schedule = _schedule(args.schedule)
     except (InstanceFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    eta = args.eta if args.eta is not None else instance.constants.eta
     try:
-        report, _ = _solve_instance(
+        report = _solve_instance(
             instance, args.eps, args.max_iter, args.eta, schedule, args.weight, args.trace_every
         )
     except InnerSolveFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    doc = _report_doc(report, args.eps, eta, schedule)
-    text = json.dumps(doc, indent=2)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
+    if args.command == "trace":
+        _write_trace(Path(args.csv), report)
+        print(
+            f"wrote {report.iterations} rows to {args.csv} ({report.termination.value})",
+            file=sys.stderr,
+        )
     else:
-        print(text)
-    if args.trace:
-        _write_trace(Path(args.trace), report)
-    return 0 if report.converged else 2
-
-
-def cmd_trace(args: argparse.Namespace) -> int:
-    try:
-        instance = _load_and_validate(args.instance)
-        schedule = _schedule(args.schedule)
-    except (InstanceFormatError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        report, _ = _solve_instance(
-            instance, args.eps, args.max_iter, args.eta, schedule, args.weight, args.trace_every
-        )
-    except InnerSolveFailed as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    _write_trace(Path(args.csv), report)
-    print(
-        f"wrote {report.iterations} rows to {args.csv} ({report.termination.value})",
-        file=sys.stderr,
-    )
+        eta = args.eta if args.eta is not None else instance.constants.eta
+        text = json.dumps(_report_doc(report, args.eps, eta, schedule), indent=2)
+        if args.out:
+            Path(args.out).write_text(text + "\n")
+        else:
+            print(text)
+        if args.trace:
+            _write_trace(Path(args.trace), report)
     return 0 if report.converged else 2
 
 
@@ -221,7 +204,7 @@ def run_bench(
             )
             instance = generate(cfg).instance
             trial_eta = eta if eta is not None else 2.0 * instance.constants.mu_F
-            report, _ = _solve_instance(
+            report = _solve_instance(
                 instance,
                 eps,
                 max_iter,
@@ -365,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("instance", help="instance JSON path")
     p_trace.add_argument("--csv", required=True, help="trace CSV path")
     common(p_trace)
-    p_trace.set_defaults(func=cmd_trace)
+    p_trace.set_defaults(func=cmd_solve)
     return parser
 
 

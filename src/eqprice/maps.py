@@ -9,24 +9,24 @@ eta up to twice the excess map's co-coercivity modulus.  Its fixed points
 are exactly the equilibrium prices, which makes the scaled distance
 ``vi_residual`` a computable merit for candidate equilibria.
 
-An ``ExcessEvaluator`` owns all per-solve state: warm starts, the last
-optimal basis of each inner program (reused parametrically while it stays
-optimal) and a small memo of recent evaluations keyed on the exact bits of
-p.  Construct one evaluator per solver run; instances themselves are
-immutable and shareable.
+An ``ExcessEvaluator`` owns all per-solve state: the warm start and the
+last optimal basis of each inner program.  While a basis stays optimal the
+minimizer is affine in p (the critical region of a parametric QP), so the
+cached piece answers directly once it passes one KKT certificate.
+Construct one evaluator per solver run; instances themselves are immutable
+and shareable.
 """
 
 from __future__ import annotations
 
 import warnings
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 import numpy.typing as npt
 
 from . import qp
-from .model import ModelInstance, PriceDomain, as_price
+from .model import ModelInstance, as_price
 
 FloatArray = npt.NDArray[np.float64]
 
@@ -71,26 +71,39 @@ def demand_problem(instance: ModelInstance, p: FloatArray) -> qp.QpProblem:
 
 
 class _InnerMap:
-    """One parametric QP ``min x'Qx + sign*p'x`` over a fixed polyhedron.
+    """One parametric QP ``min x'Qx + sign*p'x`` over ``{x >= 0 : Ax <= b}``.
 
-    Keeps the constraint rows, a feasible cold start, the last solution
-    (always feasible for every p) and the factorized optimal basis.  While
-    the basis stays optimal, a new price costs three small matrix-vector
-    products plus an explicit KKT verification.
+    ``floor`` optionally adds the utility floor ``l'x >= M``.  Keeps the
+    constraint rows, the last solution (feasible for every p; before the
+    first solve a cold start, zero when feasible, else a phase-1 point) and
+    the inverted KKT matrix of the last optimal basis.  While that basis
+    stays optimal, a new price costs a few small matrix-vector products
+    plus one certificate check.
     """
 
-    def __init__(self, Q: FloatArray, sign: float, G: FloatArray, h: FloatArray, tol: float):
+    def __init__(
+        self,
+        kind: str,
+        Q: FloatArray,
+        sign: float,
+        A: FloatArray,
+        b: FloatArray,
+        floor: tuple[FloatArray, float] | None,
+    ):
+        n = Q.shape[0]
+        self.kind = kind
         self.H = Q + Q.T
         self.sign = sign
-        self.G = G
-        self.h = h
-        self.tol = tol
-        self.max_iter = 50 * (Q.shape[0] + G.shape[0])
-        self.hscale = 1.0 + float(np.max(np.abs(h), initial=0.0))
-        self.cold_start: FloatArray | None = None
-        self.last_x: FloatArray | None = None
+        self.A, self.b, self.floor = A, b, floor
+        self.G, self.h = qp.inequality_rows(A, b, floor, True, n)
+        self.max_iter: int | None = None  # None: the active-set solver's default cap
+        self.hscale = 1.0 + float(np.max(np.abs(self.h), initial=0.0))
+        zero = np.zeros(n)
+        self.last_x: FloatArray | None = (
+            zero if qp._max_violation(self.G, self.h, zero) <= 1e-12 else None
+        )
         self.last_wset: tuple[int, ...] | None = None
-        self._basis = None  # (wset, K_x, c_x, K_l, c_l, G_w_T)
+        self._basis = None  # (K_x, c_x, K_l, c_l, G_w_T)
         self.solves = 0
         self.fast_hits = 0
         self.iterations = 0
@@ -111,7 +124,6 @@ class _InnerMap:
             return
         hw = self.h[idx] if w else np.zeros(0)
         self._basis = (
-            wset,
             inv[:n, :n],
             inv[:n, n:] @ hw if w else np.zeros(n),
             inv[n:, :n],
@@ -119,10 +131,18 @@ class _InnerMap:
             self.G[idx].T if w else np.zeros((n, 0)),
         )
 
-    def _try_basis(self, c: FloatArray) -> tuple[FloatArray, float] | None:
+    def _try_basis(self, c: FloatArray) -> FloatArray | None:
+        """The cached affine piece at linear term c, if it is certified optimal.
+
+        Certificate: nonnegative multipliers, primal feasibility, and the
+        KKT residual ``max(viol, stat)`` within ``CERTIFY_TOL * s`` with
+        ``s = 1 + max|c| + max|Hx|``.  That is the scale on which an optimal
+        active-set solve meets ``qp.DEFAULT_TOL``, so either way the point
+        returned is certified to ``CERTIFY_TOL``.
+        """
         if self._basis is None:
             return None
-        wset, K_x, c_x, K_l, c_l, GwT = self._basis
+        K_x, c_x, K_l, c_l, GwT = self._basis
         x = K_x @ (-c) + c_x
         lam = K_l @ (-c) + c_l
         if lam.size and float(lam.min()) < -1e-9:
@@ -132,31 +152,33 @@ class _InnerMap:
             return None
         hx = self.H @ x
         stat = float(np.linalg.norm(hx + c + GwT @ lam))
-        if stat > 1e-7 * (1.0 + float(np.max(np.abs(c))) + float(np.max(np.abs(hx)))):
+        scale = 1.0 + float(np.max(np.abs(c))) + float(np.max(np.abs(hx)))
+        if max(viol, stat) > CERTIFY_TOL * scale:
             return None
-        return x, max(viol, stat)
+        return x
 
-    def evaluate(self, p: FloatArray) -> tuple[FloatArray, int, float]:
-        """Return (minimizer, active-set iterations, kkt residual)."""
+    def evaluate(self, p: FloatArray) -> tuple[FloatArray, int]:
+        """Return (minimizer, active-set iterations) at price p."""
         c = self.sign * p
-        hit = self._try_basis(c)
-        if hit is not None:
+        x = self._try_basis(c)
+        if x is not None:
             self.fast_hits += 1
-            x, residual = hit
             self.last_x = x
-            return x, 0, residual
-        x0 = self.last_x if self.last_x is not None else self.cold_start
-        if x0 is None:
-            raise InnerSolveFailed("no feasible start available")
+            return x, 0
+        if self.last_x is None:
+            n = self.H.shape[0]
+            res = qp.feasible_point(self.A, self.b, floor=self.floor, nonneg=True, n=n)
+            if not res.feasible:
+                raise InnerSolveFailed(f"the {self.kind} feasible region is empty")
+            self.last_x = res.x
         sol = qp.solve_prepared(
             self.H,
             c,
             self.G,
             self.h,
-            x0,
+            self.last_x,
             working_set=self.last_wset,
             max_iter=self.max_iter,
-            tol=self.tol,
         )
         self.solves += 1
         self.iterations += sol.iterations
@@ -167,99 +189,39 @@ class _InnerMap:
         self.last_x = sol.x
         self.last_wset = sol.working_set
         self._refresh_basis(sol.working_set)
-        return sol.x, sol.iterations, sol.kkt_residual
+        return sol.x, sol.iterations
 
 
 class ExcessEvaluator:
-    """Evaluates S, D, F = S - D, the projection map and the VI residual."""
+    """Evaluates S, D, F = S - D, the projection map and the VI residual.
 
-    def __init__(
-        self,
-        instance: ModelInstance,
-        tol: float = qp.DEFAULT_TOL,
-        certify: bool = True,
-        memo_size: int = 8,
-    ):
+    The public methods validate the price once; everything below them
+    works on validated arrays.
+    """
+
+    def __init__(self, instance: ModelInstance):
         self.instance = instance
-        self.tol = tol
-        self.certify = certify
-        n = instance.n
-        A, b = instance.feasible.A, instance.feasible.b
-        g_supply, h_supply = qp.inequality_rows(A, b, None, True, n)
-        g_demand, h_demand = qp.inequality_rows(
-            A, b, (instance.costs.l, instance.costs.M), True, n
+        costs, feasible = instance.costs, instance.feasible
+        self._supply = _InnerMap("supply", costs.C, -1.0, feasible.A, feasible.b, None)
+        self._demand = _InnerMap(
+            "demand", costs.B, +1.0, feasible.A, feasible.b, (costs.l, costs.M)
         )
-        self._supply = _InnerMap(instance.costs.C, -1.0, g_supply, h_supply, tol)
-        self._demand = _InnerMap(instance.costs.B, +1.0, g_demand, h_demand, tol)
-        zero = np.zeros(n)
-        if qp._max_violation(g_supply, h_supply, zero) <= 1e-12:
-            self._supply.cold_start = zero
-        if qp._max_violation(g_demand, h_demand, zero) <= 1e-12:
-            self._demand.cold_start = zero
-        self._memo_s: OrderedDict[bytes, tuple[FloatArray, int]] = OrderedDict()
-        self._memo_d: OrderedDict[bytes, tuple[FloatArray, int]] = OrderedDict()
-        self._memo_size = memo_size
-
-    # -- inner solves -----------------------------------------------------
-
-    def _ensure_start(self, inner: _InnerMap, kind: str) -> None:
-        if inner.cold_start is not None or inner.last_x is not None:
-            return
-        floor = (self.instance.costs.l, self.instance.costs.M) if kind == "demand" else None
-        res = qp.feasible_point(
-            self.instance.feasible.A,
-            self.instance.feasible.b,
-            floor=floor,
-            nonneg=True,
-            n=self.instance.n,
-        )
-        if not res.feasible:
-            raise InnerSolveFailed(f"the {kind} feasible region is empty")
-        inner.cold_start = res.x
-
-    def _certified(self, inner: _InnerMap, kind: str, p: FloatArray) -> tuple[FloatArray, int]:
-        self._ensure_start(inner, kind)
-        x, iters, residual = inner.evaluate(p)
-        if self.certify:
-            # Tolerance scales with the gradient magnitude; the worked
-            # examples are O(1) so this matches their absolute bound.
-            scale = 1.0 + float(np.max(np.abs(p), initial=0.0)) + float(
-                np.max(np.abs(inner.H @ x), initial=0.0)
-            )
-            if residual > CERTIFY_TOL * scale:
-                raise InnerSolveFailed(
-                    f"{kind} solve has KKT residual {residual:.3e} > {CERTIFY_TOL * scale:.3e}"
-                )
-        return x, iters
-
-    def _memoized(
-        self, memo: OrderedDict, inner: _InnerMap, kind: str, p: FloatArray
-    ) -> tuple[FloatArray, int]:
-        key = p.tobytes()
-        hit = memo.get(key)
-        if hit is not None:
-            return hit[0], 0
-        x, iters = self._certified(inner, kind, p)
-        memo[key] = (x, iters)
-        if len(memo) > self._memo_size:
-            memo.popitem(last=False)
-        return x, iters
 
     def supply(self, p) -> FloatArray:
         """Unique maximizer of p'x - x'Cx over X."""
-        p = as_price(p, self.instance.n)
-        return self._memoized(self._memo_s, self._supply, "supply", p)[0]
+        return self._supply.evaluate(as_price(p, self.instance.n))[0]
 
     def demand(self, p) -> FloatArray:
         """Unique minimizer of p'x + x'Bx over X with l'x >= M."""
-        p = as_price(p, self.instance.n)
-        return self._memoized(self._memo_d, self._demand, "demand", p)[0]
+        return self._demand.evaluate(as_price(p, self.instance.n))[0]
 
     def evaluate(self, p) -> MapEvaluation:
-        """Supply, demand and excess at p, memoized on the exact bits of p."""
-        p = as_price(p, self.instance.n)
-        s, it_s = self._memoized(self._memo_s, self._supply, "supply", p)
-        d, it_d = self._memoized(self._memo_d, self._demand, "demand", p)
+        """Supply, demand and excess at p."""
+        return self._evaluate(as_price(p, self.instance.n))
+
+    def _evaluate(self, p: FloatArray) -> MapEvaluation:
+        s, it_s = self._supply.evaluate(p)
+        d, it_d = self._demand.evaluate(p)
         return MapEvaluation(supply=s, demand=d, excess=s - d, inner_iterations=it_s + it_d)
 
     # -- derived maps ------------------------------------------------------
@@ -276,22 +238,24 @@ class ExcessEvaluator:
             )
         return eta
 
+    def _step(self, p: FloatArray, eta: float) -> FloatArray:
+        return self.instance.domain.project(p - eta * self._evaluate(p).excess)
+
     def nat_map(self, p, eta: float | None = None) -> FloatArray:
         """Projected step P_P(p - eta * F(p)); fixed points are equilibria."""
-        p = as_price(p, self.instance.n)
-        ev = self.evaluate(p)
-        return self.instance.domain.project(p - self._eta(eta) * ev.excess)
+        return self._step(as_price(p, self.instance.n), self._eta(eta))
 
     def vi_residual(self, p, eta: float | None = None) -> float:
         """Scaled distance ||p - nat_map(p)|| / max(||p||, 1)."""
         p = as_price(p, self.instance.n)
-        t = self.nat_map(p, eta=eta)
+        t = self._step(p, self._eta(eta))
         return float(np.linalg.norm(p - t) / max(np.linalg.norm(p), 1.0))
 
     def map_oracle(self, eta: float | None = None):
-        """Closure p -> nat_map(p) for the fixed-point solvers."""
+        """Closure p -> nat_map(p) for the fixed-point solvers, eta fixed once."""
         eta_val = self._eta(eta)
-        return lambda p: self.nat_map(p, eta=eta_val)
+        n = self.instance.n
+        return lambda p: self._step(as_price(p, n), eta_val)
 
     # -- counters ----------------------------------------------------------
 
@@ -306,31 +270,3 @@ class ExcessEvaluator:
     @property
     def inner_iterations(self) -> int:
         return self._supply.iterations + self._demand.iterations
-
-
-# -- stateless convenience wrappers -----------------------------------------
-
-
-def supply(instance: ModelInstance, p) -> FloatArray:
-    return ExcessEvaluator(instance).supply(p)
-
-
-def demand(instance: ModelInstance, p) -> FloatArray:
-    return ExcessEvaluator(instance).demand(p)
-
-
-def excess(instance: ModelInstance, p) -> MapEvaluation:
-    return ExcessEvaluator(instance).evaluate(p)
-
-
-def project_price(domain: PriceDomain, p) -> FloatArray:
-    """Componentwise projection onto the price domain."""
-    return domain.project(p)
-
-
-def nat_map(instance: ModelInstance, p, eta: float | None = None) -> FloatArray:
-    return ExcessEvaluator(instance).nat_map(p, eta=eta)
-
-
-def vi_residual(instance: ModelInstance, p, eta: float | None = None) -> float:
-    return ExcessEvaluator(instance).vi_residual(p, eta=eta)

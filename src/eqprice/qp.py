@@ -90,7 +90,6 @@ class QpSolution:
     status: QpStatus
     working_set: tuple[int, ...] = ()
     certificate: FloatArray | None = None
-    perturbed_rows: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -170,9 +169,6 @@ def solve_qp(
     """
     G, h = problem_rows(problem)
     n = problem.n
-    if max_iter is None:
-        max_iter = 50 * (n + G.shape[0])
-
     x0 = None
     if start is not None:
         cand = np.asarray(start, dtype=float).reshape(-1)
@@ -189,25 +185,8 @@ def solve_qp(
                 certificate=phase1.certificate,
             )
         x0 = phase1.x
-
     H = problem.Q + problem.Q.T  # 2Q, symmetrized
-    x, lam, wset, iters, converged, perturbed = _active_set(
-        H, problem.q, G, h, x0, working_set, max_iter
-    )
-    residual = _kkt_residual_on_set(H, problem.q, G, h, x, lam, wset)
-    status = (
-        QpStatus.OPTIMAL
-        if converged and residual <= tol * _residual_scale(H, problem.q, x)
-        else QpStatus.ITER_LIMIT
-    )
-    return QpSolution(
-        x=x,
-        kkt_residual=residual,
-        iterations=iters,
-        status=status,
-        working_set=tuple(wset),
-        perturbed_rows=tuple(perturbed),
-    )
+    return solve_prepared(H, problem.q, G, h, x0, working_set, max_iter, tol)
 
 
 def solve_prepared(
@@ -217,17 +196,18 @@ def solve_prepared(
     h: FloatArray,
     x0: FloatArray,
     working_set: tuple[int, ...] | None = None,
-    max_iter: int = 1000,
+    max_iter: int | None = None,
     tol: float = DEFAULT_TOL,
 ) -> QpSolution:
     """Active-set solve on prebuilt rows ``G x <= h`` with ``H = 2Q``.
 
     Warm-start entry for callers that evaluate one polyhedron at many
-    linear terms; ``x0`` must be feasible.
+    linear terms; ``x0`` must be feasible.  ``max_iter`` defaults to
+    ``50 * (n + #rows)``.
     """
-    x, lam, wset, iters, converged, perturbed = _active_set(
-        H, c, G, h, x0, working_set, max_iter
-    )
+    if max_iter is None:
+        max_iter = 50 * (H.shape[0] + G.shape[0])
+    x, lam, wset, iters, converged = _active_set(H, c, G, h, x0, working_set, max_iter)
     residual = _kkt_residual_on_set(H, c, G, h, x, lam, wset)
     status = (
         QpStatus.OPTIMAL
@@ -240,7 +220,6 @@ def solve_prepared(
         iterations=iters,
         status=status,
         working_set=tuple(wset),
-        perturbed_rows=tuple(perturbed),
     )
 
 
@@ -252,13 +231,12 @@ def _active_set(
     x0: FloatArray,
     working_set: tuple[int, ...] | None,
     max_iter: int,
-) -> tuple[FloatArray, FloatArray, list[int], int, bool, list[int]]:
-    """Primal active-set loop.  Returns (x, multipliers, set, iters, ok, perturbed)."""
+) -> tuple[FloatArray, FloatArray, list[int], int, bool]:
+    """Primal active-set loop.  Returns (x, multipliers, set, iters, ok)."""
     n = H.shape[0]
     h = h0.copy()
     hs = 1.0 + _hscale(h)
     x = x0.copy()
-    perturbed: list[int] = []
     wset = _initial_working_set(G, h, x, working_set, n)
     lam = np.zeros(0)
     bump = DEGENERACY_BUMP
@@ -283,8 +261,6 @@ def _active_set(
             bump_rounds += 1
             for i in wset:
                 h[i] = h[i] + bump * (1.0 + abs(h[i]))
-                if i not in perturbed:
-                    perturbed.append(i)
             bump = min(bump * 10.0, 1e-8)
             wset = []
             continue
@@ -318,9 +294,9 @@ def _active_set(
             # rather than re-deriving a roundoff-sized step next round.
         drop = multiplier_test(grad_scale)
         if drop < 0:
-            return x, lam, wset, it, True, perturbed
+            return x, lam, wset, it, True
         wset = [i for i in wset if i != drop]
-    return x, lam, wset, it, False, perturbed
+    return x, lam, wset, it, False
 
 
 def _initial_working_set(

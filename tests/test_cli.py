@@ -105,6 +105,18 @@ class TestTraceCommand:
         # First row is the literal scaled first step.
         assert float(body[0][1]) > 0.0
 
+    def test_iteration_limit_exits_two_and_still_writes(self, combined_path, tmp_path, capsys):
+        out = tmp_path / "trace.csv"
+        code = main(
+            ["trace", str(combined_path), "--csv", str(out), "--eps", "1e-12", "--max-iter", "10"]
+        )
+        assert code == 2
+        rows = list(csv.reader(out.open()))
+        assert rows[0] == ["k", "step_residual", "vi_residual", "f_value"]
+        assert len(rows) == 11
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == f"wrote 10 rows to {out} (iter_limit)"
+
 
 class TestBenchCommand:
     def test_small_sweep_writes_row(self, tmp_path):

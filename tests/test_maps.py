@@ -4,16 +4,7 @@ import numpy as np
 import pytest
 
 from eqprice.gen import GenConfig, random_instance
-from eqprice.maps import (
-    ExcessEvaluator,
-    InnerSolveFailed,
-    demand,
-    excess,
-    nat_map,
-    project_price,
-    supply,
-    vi_residual,
-)
+from eqprice.maps import ExcessEvaluator, InnerSolveFailed
 from eqprice.model import PriceDomain
 from conftest import make_combined_1d, make_saturated_1d
 
@@ -21,64 +12,64 @@ from conftest import make_combined_1d, make_saturated_1d
 class TestSupply:
     def test_interior_stationary_point(self, combined_1d):
         """max 4x - x^2 on [0,10] => x = 2"""
-        np.testing.assert_allclose(supply(combined_1d, [4.0]), [2.0], atol=1e-9)
+        np.testing.assert_allclose(ExcessEvaluator(combined_1d).supply([4.0]), [2.0], atol=1e-9)
 
     def test_clipped_by_capacity(self, combined_1d):
         """p=30: stationary point 15 clipped to 10"""
-        np.testing.assert_allclose(supply(combined_1d, [30.0]), [10.0], atol=1e-9)
+        np.testing.assert_allclose(ExcessEvaluator(combined_1d).supply([30.0]), [10.0], atol=1e-9)
 
     def test_negative_price_supplies_nothing(self, combined_1d):
-        np.testing.assert_allclose(supply(combined_1d, [-2.0]), [0.0], atol=1e-9)
+        np.testing.assert_allclose(ExcessEvaluator(combined_1d).supply([-2.0]), [0.0], atol=1e-9)
 
 
 class TestDemand:
     def test_floor_binds_at_positive_price(self, combined_1d):
         """min x + x^2 with x>=2 => floor active"""
-        np.testing.assert_allclose(demand(combined_1d, [1.0]), [2.0], atol=1e-9)
+        np.testing.assert_allclose(ExcessEvaluator(combined_1d).demand([1.0]), [2.0], atol=1e-9)
 
     def test_interior_at_negative_price(self, combined_1d):
         """min -6x + x^2 => x = 3, feasible"""
-        np.testing.assert_allclose(demand(combined_1d, [-6.0]), [3.0], atol=1e-9)
+        np.testing.assert_allclose(ExcessEvaluator(combined_1d).demand([-6.0]), [3.0], atol=1e-9)
 
     def test_clipped_by_capacity(self, combined_1d):
-        np.testing.assert_allclose(demand(combined_1d, [-30.0]), [10.0], atol=1e-9)
+        np.testing.assert_allclose(ExcessEvaluator(combined_1d).demand([-30.0]), [10.0], atol=1e-9)
 
 
 class TestExcess:
     def test_balanced_at_equilibrium(self, combined_1d):
-        ev = excess(combined_1d, [4.0])
+        ev = ExcessEvaluator(combined_1d).evaluate([4.0])
         np.testing.assert_allclose(ev.excess, [0.0], atol=1e-9)
         np.testing.assert_allclose(ev.supply, [2.0], atol=1e-9)
         np.testing.assert_allclose(ev.demand, [2.0], atol=1e-9)
 
     def test_excess_demand_at_zero_price(self, combined_1d):
-        ev = excess(combined_1d, [0.0])
+        ev = ExcessEvaluator(combined_1d).evaluate([0.0])
         np.testing.assert_allclose(ev.excess, [-2.0], atol=1e-9)
 
     def test_excess_supply_at_high_price(self, combined_1d):
-        ev = excess(combined_1d, [30.0])
+        ev = ExcessEvaluator(combined_1d).evaluate([30.0])
         np.testing.assert_allclose(ev.excess, [8.0], atol=1e-9)
 
     def test_identity_by_construction(self, combined_1d, rng):
         for _ in range(10):
             p = rng.uniform(-5, 40, size=1)
-            ev = excess(combined_1d, p)
+            ev = ExcessEvaluator(combined_1d).evaluate(p)
             np.testing.assert_array_equal(ev.excess, ev.supply - ev.demand)
 
 
 class TestProjectPrice:
     def test_orthant(self):
         np.testing.assert_allclose(
-            project_price(PriceDomain.orthant(), [1.0, -2.0]), [1.0, 0.0]
+            PriceDomain.orthant().project([1.0, -2.0]), [1.0, 0.0]
         )
 
     def test_box(self):
         dom = PriceDomain.box([0.0, 0.0], [10.0, 10.0])
-        np.testing.assert_allclose(project_price(dom, [12.0, 5.0]), [10.0, 5.0])
+        np.testing.assert_allclose(dom.project([12.0, 5.0]), [10.0, 5.0])
 
     def test_interior_unchanged(self):
         np.testing.assert_allclose(
-            project_price(PriceDomain.orthant(), [3.0, 4.0]), [3.0, 4.0]
+            PriceDomain.orthant().project([3.0, 4.0]), [3.0, 4.0]
         )
 
     def test_idempotent_and_nonexpansive(self, rng):
@@ -86,36 +77,39 @@ class TestProjectPrice:
             for _ in range(100):
                 p = rng.uniform(-20, 20, size=2)
                 q = rng.uniform(-20, 20, size=2)
-                pp, qq = project_price(dom, p), project_price(dom, q)
-                np.testing.assert_array_equal(project_price(dom, pp), pp)
+                pp, qq = dom.project(p), dom.project(q)
+                np.testing.assert_array_equal(dom.project(pp), pp)
                 assert np.linalg.norm(pp - qq) <= np.linalg.norm(p - q) + 1e-12
 
 
 class TestNatMap:
     def test_fixed_point_at_equilibrium(self, combined_1d):
-        np.testing.assert_allclose(nat_map(combined_1d, [4.0], eta=1.0), [4.0], atol=1e-9)
+        t = ExcessEvaluator(combined_1d).nat_map([4.0], eta=1.0)
+        np.testing.assert_allclose(t, [4.0], atol=1e-9)
 
     def test_excess_demand_raises_price(self, combined_1d):
-        np.testing.assert_allclose(nat_map(combined_1d, [0.0], eta=1.0), [2.0], atol=1e-9)
+        t = ExcessEvaluator(combined_1d).nat_map([0.0], eta=1.0)
+        np.testing.assert_allclose(t, [2.0], atol=1e-9)
 
     def test_step_from_two(self, combined_1d):
         """F(2) = 1 - 2 = -1, so T(2) = 2 + 1 = 3"""
-        np.testing.assert_allclose(nat_map(combined_1d, [2.0], eta=1.0), [3.0], atol=1e-9)
+        t = ExcessEvaluator(combined_1d).nat_map([2.0], eta=1.0)
+        np.testing.assert_allclose(t, [3.0], atol=1e-9)
 
     def test_warns_outside_admissible_step(self, combined_1d):
         with pytest.warns(UserWarning):
-            nat_map(combined_1d, [2.0], eta=5.0)
+            ExcessEvaluator(combined_1d).nat_map([2.0], eta=5.0)
 
 
 class TestViResidual:
     def test_zero_at_equilibrium(self, combined_1d):
-        assert vi_residual(combined_1d, [4.0], eta=1.0) <= 1e-8
+        assert ExcessEvaluator(combined_1d).vi_residual([4.0], eta=1.0) <= 1e-8
 
     def test_scaled_distance_at_origin(self, combined_1d):
-        assert np.isclose(vi_residual(combined_1d, [0.0], eta=1.0), 2.0)
+        assert np.isclose(ExcessEvaluator(combined_1d).vi_residual([0.0], eta=1.0), 2.0)
 
     def test_zero_on_saturated_ray(self, saturated_1d):
-        assert vi_residual(saturated_1d, [8.0], eta=1.0) <= 1e-9
+        assert ExcessEvaluator(saturated_1d).vi_residual([8.0], eta=1.0) <= 1e-9
 
 
 class TestProblemBuilders:
@@ -135,7 +129,7 @@ class TestProblemBuilders:
 
 
 class TestEvaluatorCaching:
-    def test_memo_avoids_repeat_solves(self, combined_1d):
+    def test_repeat_price_reuses_basis(self, combined_1d):
         ev = ExcessEvaluator(combined_1d)
         p = np.array([4.0])
         ev.evaluate(p)
@@ -152,6 +146,20 @@ class TestEvaluatorCaching:
         # After the first couple of solves the optimal basis is reused.
         assert ev.fast_hits >= 30
         assert ev.qp_solves <= 8
+
+    def test_uncertified_basis_falls_back_to_active_set(self, combined_1d):
+        # Shift the cached supply piece so that at p = 4.5 its stationarity
+        # residual is 5.2e-7, above CERTIFY_TOL * s = 1e-7 (s = 1 + 4.5 +
+        # 4.5) but below 1e-6.  The piece must be rejected, not raised on,
+        # and one active-set solve must answer exactly.
+        ev = ExcessEvaluator(combined_1d)
+        ev.evaluate([4.0])
+        K_x, c_x, *rest = ev._supply._basis
+        ev._supply._basis = (K_x, c_x + 2.6e-7, *rest)
+        solves = ev.qp_solves
+        ev_45 = ev.evaluate([4.5])
+        assert ev.qp_solves == solves + 1
+        np.testing.assert_allclose(ev_45.supply, [2.25], rtol=0, atol=1e-12)
 
     def test_iteration_limit_surfaces(self, combined_1d):
         ev = ExcessEvaluator(combined_1d)
