@@ -19,6 +19,7 @@ and shareable.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -26,7 +27,7 @@ import numpy as np
 import numpy.typing as npt
 
 from . import qp
-from .model import ModelInstance, as_price
+from .model import ModelInstance
 
 FloatArray = npt.NDArray[np.float64]
 
@@ -71,21 +72,21 @@ def demand_problem(instance: ModelInstance, p: FloatArray) -> qp.QpProblem:
 
 
 class _InnerMap:
-    """One parametric QP ``min x'Qx + sign*p'x`` over ``{x >= 0 : Ax <= b}``.
+    """One parametric QP ``min x'Qx + c'x`` over ``{x >= 0 : Ax <= b}``.
 
     ``floor`` optionally adds the utility floor ``l'x >= M``.  Keeps the
     constraint rows, the last solution (feasible for every p; before the
     first solve a cold start, zero when feasible, else a phase-1 point) and
     the inverted KKT matrix of the last optimal basis.  While that basis
     stays optimal, a new price costs a few small matrix-vector products
-    plus one certificate check.
+    plus one certificate check.  The linear term is ``c = -p`` for supply
+    and ``c = p`` for demand.
     """
 
     def __init__(
         self,
         kind: str,
         Q: FloatArray,
-        sign: float,
         A: FloatArray,
         b: FloatArray,
         floor: tuple[FloatArray, float] | None,
@@ -93,7 +94,6 @@ class _InnerMap:
         n = Q.shape[0]
         self.kind = kind
         self.H = Q + Q.T
-        self.sign = sign
         self.A, self.b, self.floor = A, b, floor
         self.G, self.h = qp.inequality_rows(A, b, floor, True, n)
         self.max_iter: int | None = None  # None: the active-set solver's default cap
@@ -131,7 +131,7 @@ class _InnerMap:
             self.G[idx].T if w else np.zeros((n, 0)),
         )
 
-    def _try_basis(self, c: FloatArray) -> FloatArray | None:
+    def _try_basis(self, c: FloatArray, neg_c: FloatArray, cmax: float) -> FloatArray | None:
         """The cached affine piece at linear term c, if it is certified optimal.
 
         Certificate: nonnegative multipliers, primal feasibility, and the
@@ -142,25 +142,34 @@ class _InnerMap:
         """
         if self._basis is None:
             return None
+        # The bench iteration counts must not drift, so every operation here
+        # keeps its order and operands: K_x and K_l stay two products, as one
+        # product with the stacked [K_x; K_l] rounds differently, and the
+        # method reductions below are bit for bit the numpy wrappers
+        # (np.linalg.norm of a 1-D float array is sqrt(v.dot(v))).
         K_x, c_x, K_l, c_l, GwT = self._basis
-        x = K_x @ (-c) + c_x
-        lam = K_l @ (-c) + c_l
+        x = K_x @ neg_c + c_x
+        lam = K_l @ neg_c + c_l
         if lam.size and float(lam.min()) < -1e-9:
             return None
-        viol = float(np.max(self.G @ x - self.h, initial=0.0))
+        viol = max(float((self.G @ x - self.h).max()), 0.0)
         if viol > 1e-9 * self.hscale:
             return None
         hx = self.H @ x
-        stat = float(np.linalg.norm(hx + c + GwT @ lam))
-        scale = 1.0 + float(np.max(np.abs(c))) + float(np.max(np.abs(hx)))
+        r = hx + c + GwT @ lam
+        stat = math.sqrt(r.dot(r))
+        scale = 1.0 + cmax + float(abs(hx).max())
         if max(viol, stat) > CERTIFY_TOL * scale:
             return None
         return x
 
-    def evaluate(self, p: FloatArray) -> tuple[FloatArray, int]:
-        """Return (minimizer, active-set iterations) at price p."""
-        c = self.sign * p
-        x = self._try_basis(c)
+    def evaluate(self, c: FloatArray, neg_c: FloatArray, cmax: float) -> tuple[FloatArray, int]:
+        """Return (minimizer, active-set iterations) at linear term c.
+
+        ``neg_c`` is ``-c`` and ``cmax`` is ``max|c|``; the caller computes
+        both once per price for the two inner programs.
+        """
+        x = self._try_basis(c, neg_c, cmax)
         if x is not None:
             self.fast_hits += 1
             self.last_x = x
@@ -195,34 +204,54 @@ class _InnerMap:
 class ExcessEvaluator:
     """Evaluates S, D, F = S - D, the projection map and the VI residual.
 
-    The public methods validate the price once; everything below them
-    works on validated arrays.
+    The public methods and the map oracle validate the price once, in
+    ``_price``; everything below them works on validated arrays.
     """
 
     def __init__(self, instance: ModelInstance):
         self.instance = instance
         costs, feasible = instance.costs, instance.feasible
-        self._supply = _InnerMap("supply", costs.C, -1.0, feasible.A, feasible.b, None)
-        self._demand = _InnerMap(
-            "demand", costs.B, +1.0, feasible.A, feasible.b, (costs.l, costs.M)
-        )
+        self._supply = _InnerMap("supply", costs.C, feasible.A, feasible.b, None)
+        self._demand = _InnerMap("demand", costs.B, feasible.A, feasible.b, (costs.l, costs.M))
+
+    def _price(self, p) -> tuple[FloatArray, float]:
+        """The price as a 1-D float array of length n, and its max|p|.
+
+        max|p| is non-finite exactly when some entry is, so it doubles as
+        the finiteness check.
+        """
+        p = np.asarray(p, dtype=float).reshape(-1)
+        if p.shape[0] != self.instance.n:
+            raise ValueError(f"price vector has length {p.shape[0]}, expected {self.instance.n}")
+        pmax = float(abs(p).max())
+        if not math.isfinite(pmax):
+            raise ValueError("price vector has non-finite entries")
+        return p, pmax
 
     def supply(self, p) -> FloatArray:
         """Unique maximizer of p'x - x'Cx over X."""
-        return self._supply.evaluate(as_price(p, self.instance.n))[0]
+        p, pmax = self._price(p)
+        return self._supply.evaluate(-p, p, pmax)[0]
 
     def demand(self, p) -> FloatArray:
         """Unique minimizer of p'x + x'Bx over X with l'x >= M."""
-        return self._demand.evaluate(as_price(p, self.instance.n))[0]
+        p, pmax = self._price(p)
+        return self._demand.evaluate(p, -p, pmax)[0]
 
     def evaluate(self, p) -> MapEvaluation:
         """Supply, demand and excess at p."""
-        return self._evaluate(as_price(p, self.instance.n))
+        s, d, iterations = self._both(*self._price(p))
+        return MapEvaluation(supply=s, demand=d, excess=s - d, inner_iterations=iterations)
 
-    def _evaluate(self, p: FloatArray) -> MapEvaluation:
-        s, it_s = self._supply.evaluate(p)
-        d, it_d = self._demand.evaluate(p)
-        return MapEvaluation(supply=s, demand=d, excess=s - d, inner_iterations=it_s + it_d)
+    def _both(self, p: FloatArray, pmax: float) -> tuple[FloatArray, FloatArray, int]:
+        """Supply, demand and their active-set iterations; one negation of p.
+
+        |-p| = |p|, so max|p| is the certificate's max|c| for both programs.
+        """
+        neg_p = -p
+        s, it_s = self._supply.evaluate(neg_p, p, pmax)
+        d, it_d = self._demand.evaluate(p, neg_p, pmax)
+        return s, d, it_s + it_d
 
     # -- derived maps ------------------------------------------------------
 
@@ -238,24 +267,25 @@ class ExcessEvaluator:
             )
         return eta
 
-    def _step(self, p: FloatArray, eta: float) -> FloatArray:
-        return self.instance.domain.project(p - eta * self._evaluate(p).excess)
+    def _step(self, p: FloatArray, pmax: float, eta: float) -> FloatArray:
+        s, d, _ = self._both(p, pmax)
+        return self.instance.domain.project(p - eta * (s - d))
 
     def nat_map(self, p, eta: float | None = None) -> FloatArray:
         """Projected step P_P(p - eta * F(p)); fixed points are equilibria."""
-        return self._step(as_price(p, self.instance.n), self._eta(eta))
+        return self._step(*self._price(p), self._eta(eta))
 
     def vi_residual(self, p, eta: float | None = None) -> float:
         """Scaled distance ||p - nat_map(p)|| / max(||p||, 1)."""
-        p = as_price(p, self.instance.n)
-        t = self._step(p, self._eta(eta))
-        return float(np.linalg.norm(p - t) / max(np.linalg.norm(p), 1.0))
+        p, pmax = self._price(p)
+        r = p - self._step(p, pmax, self._eta(eta))
+        return math.sqrt(r.dot(r)) / max(math.sqrt(p.dot(p)), 1.0)
 
     def map_oracle(self, eta: float | None = None):
         """Closure p -> nat_map(p) for the fixed-point solvers, eta fixed once."""
         eta_val = self._eta(eta)
-        n = self.instance.n
-        return lambda p: self._step(as_price(p, n), eta_val)
+        price, step = self._price, self._step
+        return lambda p: step(*price(p), eta_val)
 
     # -- counters ----------------------------------------------------------
 

@@ -214,23 +214,20 @@ def bilevel_solve(
         tp = map_oracle(p)
         p_next = lam * q + (1.0 - lam) * tp
 
+        # Norms as sqrt(v.dot(v)), which is how np.linalg.norm computes them.
         dp = p_next - p
-        step_residual = float(
-            np.linalg.norm(dp) / max(np.linalg.norm(p_next), 1.0)
-        )
+        step_residual = math.sqrt(dp.dot(dp)) / max(math.sqrt(p_next.dot(p_next)), 1.0)
         if trace_vi_every > 0 and (k - 1) % trace_vi_every == 0:
-            vi_res = float(np.linalg.norm(p - tp) / max(np.linalg.norm(p), 1.0))
+            r = p - tp
+            vi_res = math.sqrt(r.dot(r)) / max(math.sqrt(p.dot(p)), 1.0)
         else:
             vi_res = math.nan
         rows.append(TraceRow(k=k, step_residual=step_residual, vi_residual=vi_res, f_value=objective.value(p)))
         if callback is not None:
             callback(IterationState(k=k, p=p, q=q, g=g, Tp=tp, step_residual=step_residual))
 
-        scale = 1e-14 * (1.0 + float(np.max(np.abs(p))))
-        exact = (
-            float(np.max(np.abs(p - q), initial=0.0)) <= scale
-            and float(np.max(np.abs(dp), initial=0.0)) <= scale
-        )
+        scale = 1e-14 * (1.0 + float(abs(p).max()))
+        exact = float(abs(p - q).max()) <= scale and float(abs(dp).max()) <= scale
         p = p_next
         if exact:
             termination = Termination.EXACT_FIXED_POINT

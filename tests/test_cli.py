@@ -163,6 +163,16 @@ class TestBenchCommand:
         rows2, _ = run_bench([2, 3], [1, 2], **args)
         assert [r.avg_iterations for r in rows1] == [r.avg_iterations for r in rows2]
 
+    def test_protocol_iteration_column_is_pinned(self):
+        # The first two sizes of the bench protocol (seed 42, eta 2 mu_F,
+        # weight 0.25, zero start); any drift in the floating-point path
+        # of the maps or the solver loop shows up here.
+        rows, _ = run_bench(
+            [5, 10], [3, 8], trials=10, domain_kind="orthant", seed=42,
+            eps=1e-4, max_iter=10_000, weight=0.25,
+        )
+        assert [r.avg_iterations for r in rows] == [662.5, 808.9]
+
     def test_csv_round_trip_exact(self, tmp_path):
         rows, _ = run_bench([2], [1], trials=2, domain_kind="orthant", seed=3, max_iter=5000)
         path = tmp_path / "rt.csv"

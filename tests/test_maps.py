@@ -112,6 +112,34 @@ class TestViResidual:
         assert ExcessEvaluator(saturated_1d).vi_residual([8.0], eta=1.0) <= 1e-9
 
 
+class TestPriceValidation:
+    ENTRY_POINTS = {
+        "map_oracle": lambda ev, p: ev.map_oracle(eta=1.0)(p),
+        "nat_map": lambda ev, p: ev.nat_map(p, eta=1.0),
+        "vi_residual": lambda ev, p: ev.vi_residual(p, eta=1.0),
+        "evaluate": lambda ev, p: ev.evaluate(p),
+        "supply": lambda ev, p: ev.supply(p),
+        "demand": lambda ev, p: ev.demand(p),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize(
+        "price, message",
+        [
+            ([np.nan], "non-finite"),
+            ([np.inf], "non-finite"),
+            ([-np.inf], "non-finite"),
+            ([1.0, 2.0], "length 2, expected 1"),
+            ([], "length 0, expected 1"),
+        ],
+    )
+    def test_bad_price_raises_before_any_solve(self, combined_1d, entry, price, message):
+        ev = ExcessEvaluator(combined_1d)
+        with pytest.raises(ValueError, match=message):
+            self.ENTRY_POINTS[entry](ev, price)
+        assert ev.fast_hits == ev.qp_solves == 0
+
+
 class TestProblemBuilders:
     def test_evaluator_matches_standalone_solves(self, combined_1d, rng):
         # Same optima through the one-shot QP front end as through the

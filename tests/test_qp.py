@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from eqprice import qp as qp_module
 from eqprice.qp import (
     QpProblem,
     QpStatus,
@@ -161,9 +162,18 @@ class TestFeasiblePoint:
 
 
 class TestPerturbationPolicy:
-    def test_perturbed_rows_recorded_when_triggered(self):
-        # Three copies of the binding constraint force a dependent working
-        # set at the solution.
+    def test_dependent_working_set_is_relaxed(self, monkeypatch):
+        # Three copies of the binding constraint; starting on it puts all
+        # three in the initial working set, so the first KKT step is
+        # singular and the solver must take the degeneracy-bump branch.
+        kkt_step = qp_module._kkt_step
+        steps = []
+
+        def recording_step(*args):
+            steps.append(kkt_step(*args))
+            return steps[-1]
+
+        monkeypatch.setattr(qp_module, "_kkt_step", recording_step)
         problem = QpProblem(
             Q=np.eye(2),
             q=[-4.0, -4.0],
@@ -171,6 +181,7 @@ class TestPerturbationPolicy:
             b=np.array([2.0, 2.0, 4.0]),
             nonneg=True,
         )
-        sol = solve_qp(problem)
+        sol = solve_qp(problem, start=np.array([1.0, 1.0]))
+        assert any(step is None for step in steps)
         assert sol.status is QpStatus.OPTIMAL
         np.testing.assert_allclose(sol.x, [1.0, 1.0], atol=1e-7)
