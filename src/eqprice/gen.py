@@ -28,7 +28,6 @@ from .model import (
     ValidationIssue,
     instance_to_json,
     min_eigenvalue,
-    validate_instance,
 )
 
 FloatArray = npt.NDArray[np.float64]
@@ -130,13 +129,38 @@ def _pd_with_redraws(
     min_eig: float,
     max_redraws: int,
 ) -> tuple[FloatArray, int]:
+    """``(F'F, number of rejected draws)``, one ``rng.uniform`` call per draw.
+
+    A shifted Cholesky screens each draw (``_below_floor``) and only the
+    draws it passes get the eigenvalue test, which decides every accept.
+    The screen never rejects a draw the eigenvalue test accepts, so the
+    instances are identical to testing every draw's eigenvalues.
+    """
     for redraw in range(max_redraws):
         factor = rng.uniform(low, high, size=(n, n))
         product = factor.T @ factor
         product = 0.5 * (product + product.T)
-        if min_eigenvalue(product) >= min_eig:
+        if not _below_floor(product, min_eig) and min_eigenvalue(product) >= min_eig:
             return product, redraw
     raise GenerationFailed(f"no factor with eigenvalue floor {min_eig:g} in {max_redraws} draws")
+
+
+def _below_floor(product: FloatArray, min_eig: float) -> bool:
+    """Whether a failed Cholesky proves ``min_eigenvalue(product) < min_eig``.
+
+    ``product - (min_eig - margin) I`` has no Cholesky factor only if its
+    smallest eigenvalue is at most rounding error above zero.  The margin
+    is orders of magnitude above the rounding error of Cholesky and of
+    ``eigvalsh``, so a draw the eigenvalue test accepts always factors.
+    A Cholesky factorization costs about a quarter of ``eigvalsh``.
+    """
+    n = product.shape[0]
+    margin = 1e-8 * n * (1.0 + float(abs(product).max()))
+    try:
+        np.linalg.cholesky(product - (min_eig - margin) * np.eye(n))
+    except np.linalg.LinAlgError:
+        return True
+    return False
 
 
 def max_utility(l: FloatArray, A: FloatArray, b: FloatArray) -> float:
@@ -147,8 +171,52 @@ def max_utility(l: FloatArray, A: FloatArray, b: FloatArray) -> float:
     return float(-res.fun)
 
 
+def _generated_issues(instance: ModelInstance) -> list[ValidationIssue]:
+    """The ``validate_instance`` findings a generated instance can have.
+
+    The other checks hold by construction: C and B are symmetrized and have
+    the eigenvalue floor (``build`` rejects non-positive-definite forms),
+    the constants are recomputed identically, and with b >= 0 and M > 0
+    the maximizer of the utility LP reaches l'x = M / floor_fraction > M,
+    so the demand set is non-empty.  The codes, messages and order are
+    those of ``validate_instance``; b >= 0 and p0 inside the domain hold
+    for the default ranges but not for every ``GenConfig``.
+    """
+    issues = []
+    costs, c = instance.costs, instance.constants
+    if not costs.M > 0.0:
+        issues.append(ValidationIssue("NonpositiveFloor", f"M = {costs.M:g} must be positive"))
+    if (instance.feasible.b < 0.0).any():
+        issues.append(
+            ValidationIssue(
+                "EmptyFeasibleSet", "b has negative entries, so x = 0 violates Ax <= b"
+            )
+        )
+    if not 0.0 < c.eta <= 2.0 * c.mu_F + 1e-12:
+        issues.append(
+            ValidationIssue(
+                "EtaOutOfRange",
+                f"eta = {c.eta:g} outside (0, {2.0 * c.mu_F:g}]",
+                severity="warning",
+            )
+        )
+    if instance.p0_projected:
+        issues.append(
+            ValidationIssue(
+                "P0Projected",
+                "p0 was outside the price domain and has been projected",
+                severity="warning",
+            )
+        )
+    return issues
+
+
 def generate(config: GenConfig) -> GeneratedInstance:
-    """Draw until a valid instance appears (at most 100 attempts)."""
+    """Draw until a valid instance appears (at most 100 attempts).
+
+    An attempt is retried, with fresh streams, when a factor misses the
+    eigenvalue floor in 500 draws or ``_generated_issues`` reports anything.
+    """
     root = np.random.SeedSequence(config.seed)
     last_report = None
     for attempt in range(1, 101):
@@ -191,7 +259,7 @@ def generate(config: GenConfig) -> GeneratedInstance:
             p0,
             eta=config.eta,
         )
-        report = validate_instance(instance)
+        report = _generated_issues(instance)
         if not report:
             return GeneratedInstance(
                 instance=instance,

@@ -241,18 +241,12 @@ def _active_set(
     lam = np.zeros(0)
     bump = DEGENERACY_BUMP
     bump_rounds = 0
-
-    def multiplier_test(grad_scale: float) -> int:
-        # Returns the row to drop, or -1 when the current point is optimal.
-        if lam.size == 0 or float(lam.min()) >= -1e-10 * (1.0 + grad_scale):
-            return -1
-        return wset[int(np.argmin(lam))]
-
     it = 0
     while it < max_iter:
         it += 1
         grad = H @ x + c
-        sol = _kkt_step(H, G, grad, wset)
+        grad_scale = float(abs(grad).max())
+        sol = _kkt_step(H, G, grad, grad_scale, wset)
         if sol is None:
             # Linearly dependent working set: relax the offending rows a
             # hair and restart from the current (still feasible) point.
@@ -265,10 +259,7 @@ def _active_set(
             wset = []
             continue
         d, lam = sol
-        grad_scale = float(np.max(np.abs(grad), initial=0.0))
-        at_optimum = float(np.max(np.abs(d), initial=0.0)) <= 1e-12 * (
-            1.0 + float(np.max(np.abs(x), initial=0.0))
-        )
+        at_optimum = float(abs(d).max()) <= 1e-12 * (1.0 + float(abs(x).max()))
         if not at_optimum:
             # Ratio test over rows not in the working set.
             Gd = G @ d
@@ -277,11 +268,11 @@ def _active_set(
                 eligible[wset] = False
             alpha = 1.0
             blocking = -1
-            if np.any(eligible):
+            if eligible.any():
                 slack = np.maximum(h - G @ x, 0.0)
                 ratios = np.full(G.shape[0], np.inf)
                 ratios[eligible] = slack[eligible] / Gd[eligible]
-                i_min = int(np.argmin(ratios))
+                i_min = int(ratios.argmin())
                 if ratios[i_min] < alpha:
                     alpha = float(ratios[i_min])
                     blocking = i_min
@@ -292,9 +283,11 @@ def _active_set(
             # Full step: x now minimizes on the working set and ``lam``
             # holds its multipliers, so fall through to the sign test
             # rather than re-deriving a roundoff-sized step next round.
-        drop = multiplier_test(grad_scale)
-        if drop < 0:
+        # Optimal unless some working-set multiplier is clearly negative;
+        # otherwise drop the row with the most negative one.
+        if lam.size == 0 or float(lam.min()) >= -1e-10 * (1.0 + grad_scale):
             return x, lam, wset, it, True
+        drop = wset[int(lam.argmin())]
         wset = [i for i in wset if i != drop]
     return x, lam, wset, it, False
 
@@ -323,9 +316,14 @@ def _kkt_step(
     H: FloatArray,
     G: FloatArray,
     grad: FloatArray,
+    grad_scale: float,
     wset: list[int],
 ) -> tuple[FloatArray, FloatArray] | None:
-    """Solve the equality-constrained step; None signals a singular system."""
+    """Solve the equality-constrained step; None signals a singular system.
+
+    ``grad_scale`` is ``max|grad|``, which equals ``max|rhs|`` of the KKT
+    system since the right-hand side is ``[-grad; 0]``.
+    """
     n = H.shape[0]
     w = len(wset)
     if w == 0:
@@ -339,16 +337,17 @@ def _kkt_step(
     kkt[:n, :n] = H
     kkt[:n, n:] = Gw.T
     kkt[n:, :n] = Gw
-    rhs = np.concatenate([-grad, np.zeros(w)])
+    rhs = np.zeros(n + w)
+    rhs[:n] = -grad
     try:
         sol = np.linalg.solve(kkt, rhs)
     except np.linalg.LinAlgError:
         return None
-    if not np.all(np.isfinite(sol)):
+    if not np.isfinite(sol).all():
         return None
     # Reject solutions of nearly singular systems that fail to solve.
-    err = float(np.max(np.abs(kkt @ sol - rhs)))
-    scale = 1.0 + float(np.max(np.abs(rhs))) + float(np.max(np.abs(sol)))
+    err = float(abs(kkt @ sol - rhs).max())
+    scale = 1.0 + grad_scale + float(abs(sol).max())
     if err > 1e-7 * scale:
         return None
     return sol[:n], sol[n:]

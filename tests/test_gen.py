@@ -1,8 +1,12 @@
 """Seeded instance generation: determinism, validity, documented defaults."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from eqprice import gen
+from eqprice.cli import trial_seed
 from eqprice.gen import GenConfig, generate, max_utility, pd_from_factor, random_instance
 from eqprice.model import min_eigenvalue, validate_instance
 
@@ -75,9 +79,14 @@ class TestRandomInstance:
         assert not inst.p0_projected
 
     def test_validation_passes_in_bulk(self):
-        # mu_F positive and a clean report on every draw; A > 0 bounds X.
-        for seed in range(100):
-            inst = random_instance(GenConfig(n=10, m=8, seed=seed))
+        # ``generate`` does not run ``validate_instance``: the checks it skips
+        # hold by construction, so every report here is clean.  mu_F is
+        # positive, and A > 0 bounds X.
+        configs = [GenConfig(n=10, m=8, seed=seed) for seed in range(100)]
+        configs += [GenConfig(n=30, m=20, seed=seed) for seed in range(20)]
+        configs += [GenConfig(n=10, m=8, seed=seed, domain_kind="box") for seed in range(20)]
+        for config in configs:
+            inst = random_instance(config)
             assert validate_instance(inst) == []
             assert inst.constants.mu_F > 0.0
             assert np.all(inst.feasible.A > 0.0)
@@ -99,6 +108,112 @@ class TestRandomInstance:
             GenConfig(n=0, m=1)
         with pytest.raises(ValueError):
             GenConfig(n=2, m=1, floor_fraction=1.5)
+
+
+def _generated_digest(g) -> str:
+    """sha256 over an instance's drawn data, M, redraw counts and attempts."""
+    inst = g.instance
+    h = hashlib.sha256()
+    for arr in (inst.costs.C, inst.costs.B, inst.costs.l, inst.feasible.A, inst.feasible.b, inst.p0):
+        h.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
+    h.update(repr(inst.costs.M).encode())
+    h.update(repr(sorted(g.redraws.items())).encode())
+    h.update(repr(g.attempts).encode())
+    return h.hexdigest()
+
+
+class TestGeneratedBits:
+    """Generated instances are pinned bit for bit.
+
+    The digests were recorded with an eigenvalue test on every factor draw
+    and ``validate_instance`` on every attempt; the Cholesky screen and the
+    by-construction checks must reproduce them exactly.  They are IEEE
+    bits, so a BLAS that rounds ``F'F`` differently would change them.
+    """
+
+    @pytest.mark.parametrize(
+        "n, m, domain_kind, digest",
+        [
+            (5, 3, "orthant", "7970fe92e010431866a13f5f4a5c08cccc24d30f9bfa996deac91022c04348be"),
+            (30, 20, "orthant", "6077d36f6af5b97a9cc2206b1a134b7979ae6292d1b4ff25842e36a2dac61b1a"),
+            (50, 30, "orthant", "07f958c8e5f9d502c5e4ec8d6cbfbbd3b602f7618853c82baa3211047bd28bf5"),
+            (20, 10, "box", "8629226a37351c91a4e45acab12f1cf9219b9b3e17489e9b9a0f78707ca7a646"),
+        ],
+    )
+    def test_bench_trial_instance_is_pinned(self, n, m, domain_kind, digest):
+        config = GenConfig(n=n, m=m, domain_kind=domain_kind, seed=trial_seed(42, n, m, 0))
+        assert _generated_digest(generate(config)) == digest
+
+    def test_explicit_eta_retries_are_pinned(self):
+        # eta at 1.05 times the admissible maximum 2 mu_F of the seed's
+        # default draw: that attempt fails the eta range check, and later
+        # attempts (fresh streams) succeed once their mu_F is large enough.
+        attempts = []
+        for seed in range(6):
+            mu_f = generate(GenConfig(n=5, m=3, seed=seed)).instance.constants.mu_F
+            attempts.append(generate(GenConfig(n=5, m=3, seed=seed, eta=1.05 * 2.0 * mu_f)).attempts)
+        assert attempts == [5, 2, 6, 2, 67, 5]
+
+    def test_out_of_range_draws_are_redrawn(self):
+        # Ranges wider than the defaults can draw p0 outside the domain or
+        # a negative entry of b; such attempts are retried, not returned.
+        wide = [generate(GenConfig(n=3, m=2, seed=s, p0_range=(-100.0, 100.0))) for s in range(4)]
+        narrow_box = [
+            generate(GenConfig(n=3, m=2, seed=s, domain_kind="box", box_range=(0.0, 50.0)))
+            for s in range(4)
+        ]
+        signed_b = [
+            generate(GenConfig(n=3, m=2, seed=s, constraint_range=(-5.0, 20.0))) for s in (8, 13, 31)
+        ]
+        assert [g.attempts for g in wide] == [7, 3, 6, 18]
+        assert [g.attempts for g in narrow_box] == [9, 1, 39, 5]
+        assert [g.attempts for g in signed_b] == [2, 2, 2]
+        for g in wide + narrow_box + signed_b:
+            assert validate_instance(g.instance) == []
+
+    def test_exhausted_attempts_keep_last_report(self):
+        # An eta no draw can admit fails all 100 attempts on the eta check.
+        with pytest.raises(gen.GenerationFailed) as failed:
+            generate(GenConfig(n=2, m=1, seed=0, eta=1e9))
+        assert str(failed.value) == (
+            "100 attempts exhausted; last report: [ValidationIssue(code='EtaOutOfRange', "
+            "message='eta = 1e+09 outside (0, 120.927]', severity='warning')]"
+        )
+
+
+class TestFloorScreen:
+    """The shifted-Cholesky screen never rejects a draw the eigenvalue test accepts."""
+
+    FLOOR = 2.0
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 10, 30])
+    def test_random_draws(self, n, rng):
+        screened = 0
+        for _ in range(2000):
+            factor = rng.uniform(-10.0, 10.0, size=(n, n))
+            product = factor.T @ factor
+            product = 0.5 * (product + product.T)
+            below = gen._below_floor(product, self.FLOOR)
+            assert not (below and min_eigenvalue(product) >= self.FLOOR)
+            screened += below
+        assert screened > 0  # the screen does reject draws
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 10, 30])
+    def test_spectra_at_the_floor(self, n, rng):
+        # Smallest eigenvalue at the floor plus a tiny offset, the rest
+        # spread up to the scale of F'F at this size.
+        accepted = 0
+        for offset in (-1e-3, -1e-6, -1e-9, -1e-12, 0.0, 1e-12, 1e-9, 1e-6):
+            for _ in range(120):
+                q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+                spectrum = rng.uniform(self.FLOOR, 100.0 * n * n, size=n)
+                spectrum[0] = self.FLOOR + offset
+                mat = (q * spectrum) @ q.T
+                mat = 0.5 * (mat + mat.T)
+                if min_eigenvalue(mat) >= self.FLOOR:
+                    accepted += 1
+                    assert not gen._below_floor(mat, self.FLOOR)
+        assert accepted > 0
 
 
 class TestMaxUtility:

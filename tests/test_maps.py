@@ -1,8 +1,11 @@
 """Supply/demand/excess maps, the projection step and their properties."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from eqprice.cli import trial_seed
 from eqprice.gen import GenConfig, random_instance
 from eqprice.maps import ExcessEvaluator, InnerSolveFailed
 from eqprice.model import PriceDomain
@@ -188,6 +191,23 @@ class TestEvaluatorCaching:
         ev_45 = ev.evaluate([4.5])
         assert ev.qp_solves == solves + 1
         np.testing.assert_allclose(ev_45.supply, [2.25], rtol=0, atol=1e-12)
+
+    def test_scattered_prices_are_pinned(self):
+        # Independent prices break the cached basis, so nearly every inner
+        # map runs the active-set solver; any change to its arithmetic or
+        # pivoting shows in the pinned output bits or iteration counts.
+        inst = random_instance(GenConfig(n=30, m=20, seed=trial_seed(42, 30, 20, 0)))
+        ev = ExcessEvaluator(inst)
+        prices = np.random.default_rng(2024).uniform(0.0, 100.0, size=(10, inst.n))
+        digest = hashlib.sha256()
+        for p in prices:
+            out = ev.evaluate(p)
+            digest.update(out.supply.tobytes())
+            digest.update(out.demand.tobytes())
+        assert digest.hexdigest() == (
+            "bed4aa0a7d994d75737f07d03b7c5ba44fe8b7cf7f8a1193ba8b737eda6c32e3"
+        )
+        assert (ev.qp_solves, ev.inner_iterations) == (19, 138)
 
     def test_iteration_limit_surfaces(self, combined_1d):
         ev = ExcessEvaluator(combined_1d)
