@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .gen import GenConfig, generate
+from .gen import GenConfig, GenerationFailed, generate
 from .maps import ExcessEvaluator, InnerSolveFailed
 from .model import (
     InstanceFormatError,
@@ -25,14 +25,7 @@ from .model import (
     load_instance,
     validate_instance,
 )
-from .solver import (
-    Objective,
-    SolveReport,
-    StepSchedule,
-    bilevel_solve,
-    schedule_default,
-    trace_csv_rows,
-)
+from .solver import Objective, SolveReport, bilevel_solve, trace_csv_rows
 
 TRACE_HEADER = ("k", "step_residual", "vi_residual", "f_value")
 BENCH_HEADER = ("n", "m", "avg_time_s", "avg_iterations", "trials")
@@ -52,10 +45,10 @@ class BenchRow:
     iteration_limited: int = 0
 
 
-def _schedule(name: str) -> StepSchedule:
-    if name == "sqrt":
-        return schedule_default()
-    raise ValueError(f"unknown schedule {name!r} (available: sqrt)")
+def _check_schedule(name: str) -> None:
+    """``--schedule`` names the step rule; sqrt, 1/sqrt(k+1), is the only one."""
+    if name != "sqrt":
+        raise ValueError(f"unknown schedule {name!r} (available: sqrt)")
 
 
 def _parse_eta(value: str) -> float | None:
@@ -69,7 +62,6 @@ def _solve_instance(
     eps: float,
     max_iter: int,
     eta: float | None,
-    schedule: StepSchedule,
     weight: float,
     trace_every: int,
     start=None,
@@ -78,7 +70,6 @@ def _solve_instance(
         ExcessEvaluator(instance).map_oracle(eta=eta),
         Objective(p0=instance.p0, weight=weight),
         instance.domain,
-        schedule=schedule,
         eps=eps,
         max_iter=max_iter,
         start=start,
@@ -93,7 +84,7 @@ def _write_trace(path: Path, report: SolveReport) -> None:
         writer.writerows(trace_csv_rows(report.trace))
 
 
-def _report_doc(report: SolveReport, eps: float, eta: float, schedule: StepSchedule) -> dict:
+def _report_doc(report: SolveReport, eps: float, eta: float) -> dict:
     return {
         "solution": report.solution.tolist(),
         "iterations": report.iterations,
@@ -102,7 +93,7 @@ def _report_doc(report: SolveReport, eps: float, eta: float, schedule: StepSched
         "meta": {
             "eps": eps,
             "eta": eta,
-            "schedule": schedule.name,
+            "schedule": "sqrt",
             "final_step_residual": report.trace[-1].step_residual if report.trace else None,
             "version": __version__,
         },
@@ -127,13 +118,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
     """Handler of ``solve`` (report JSON, optional trace) and ``trace`` (trace CSV)."""
     try:
         instance = _load_and_validate(args.instance)
-        schedule = _schedule(args.schedule)
+        _check_schedule(args.schedule)
     except (InstanceFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
         report = _solve_instance(
-            instance, args.eps, args.max_iter, args.eta, schedule, args.weight, args.trace_every
+            instance, args.eps, args.max_iter, args.eta, args.weight, args.trace_every
         )
     except InnerSolveFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -146,7 +137,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         )
     else:
         eta = args.eta if args.eta is not None else instance.constants.eta
-        text = json.dumps(_report_doc(report, args.eps, eta, schedule), indent=2)
+        text = json.dumps(_report_doc(report, args.eps, eta), indent=2)
         if args.out:
             Path(args.out).write_text(text + "\n")
         else:
@@ -171,7 +162,6 @@ def run_bench(
     eps: float = 1e-4,
     max_iter: int = 10_000,
     eta: float | None = None,
-    schedule: StepSchedule | None = None,
     weight: float = 0.25,
     log=None,
 ) -> tuple[list[BenchRow], int]:
@@ -191,7 +181,6 @@ def run_bench(
         raise ValueError("size lists must be nonempty")
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    schedule = schedule or schedule_default()
     rows: list[BenchRow] = []
     limited = 0
     for n, m in zip(n_list, m_list):
@@ -209,7 +198,6 @@ def run_bench(
                 eps,
                 max_iter,
                 trial_eta,
-                schedule,
                 weight,
                 10,
                 start=np.zeros(n),
@@ -256,7 +244,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     try:
         n_list = [int(v) for v in args.n.split(",") if v]
         m_list = [int(v) for v in args.m.split(",") if v]
-        schedule = _schedule(args.schedule)
+        _check_schedule(args.schedule)
         rows, limited = run_bench(
             n_list,
             m_list,
@@ -266,11 +254,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
             eps=args.eps,
             max_iter=args.max_iter,
             eta=args.eta,
-            schedule=schedule,
             weight=args.weight,
             log=sys.stderr,
         )
-    except (ValueError, InnerSolveFailed) as exc:
+    except (ValueError, InnerSolveFailed, GenerationFailed) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.csv:
@@ -281,7 +268,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         "eta": "auto (2*mu_F)" if args.eta is None else args.eta,
         "weight": args.weight,
         "start": "zero prices",
-        "schedule": schedule.name,
+        "schedule": "sqrt",
         "domain": args.domain,
         "trials": args.trials,
         "iteration_limited_trials": limited,

@@ -26,6 +26,7 @@ from .model import (
     ModelInstance,
     PriceDomain,
     ValidationIssue,
+    data_issues,
     instance_to_json,
     min_eigenvalue,
 )
@@ -171,51 +172,14 @@ def max_utility(l: FloatArray, A: FloatArray, b: FloatArray) -> float:
     return float(-res.fun)
 
 
-def _generated_issues(instance: ModelInstance) -> list[ValidationIssue]:
-    """The ``validate_instance`` findings a generated instance can have.
-
-    The other checks hold by construction: C and B are symmetrized and have
-    the eigenvalue floor (``build`` rejects non-positive-definite forms),
-    the constants are recomputed identically, and with b >= 0 and M > 0
-    the maximizer of the utility LP reaches l'x = M / floor_fraction > M,
-    so the demand set is non-empty.  The codes, messages and order are
-    those of ``validate_instance``; b >= 0 and p0 inside the domain hold
-    for the default ranges but not for every ``GenConfig``.
-    """
-    issues = []
-    costs, c = instance.costs, instance.constants
-    if not costs.M > 0.0:
-        issues.append(ValidationIssue("NonpositiveFloor", f"M = {costs.M:g} must be positive"))
-    if (instance.feasible.b < 0.0).any():
-        issues.append(
-            ValidationIssue(
-                "EmptyFeasibleSet", "b has negative entries, so x = 0 violates Ax <= b"
-            )
-        )
-    if not 0.0 < c.eta <= 2.0 * c.mu_F + 1e-12:
-        issues.append(
-            ValidationIssue(
-                "EtaOutOfRange",
-                f"eta = {c.eta:g} outside (0, {2.0 * c.mu_F:g}]",
-                severity="warning",
-            )
-        )
-    if instance.p0_projected:
-        issues.append(
-            ValidationIssue(
-                "P0Projected",
-                "p0 was outside the price domain and has been projected",
-                severity="warning",
-            )
-        )
-    return issues
-
-
 def generate(config: GenConfig) -> GeneratedInstance:
     """Draw until a valid instance appears (at most 100 attempts).
 
     An attempt is retried, with fresh streams, when a factor misses the
-    eigenvalue floor in 500 draws or ``_generated_issues`` reports anything.
+    eigenvalue floor in 500 draws or ``data_issues`` reports anything.
+    The demand phase-1 LP of ``validate_instance`` is not needed: with
+    b >= 0 and M > 0 the maximizer of the utility LP reaches
+    l'x = M / floor_fraction > M.
     """
     root = np.random.SeedSequence(config.seed)
     last_report = None
@@ -259,7 +223,7 @@ def generate(config: GenConfig) -> GeneratedInstance:
             p0,
             eta=config.eta,
         )
-        report = _generated_issues(instance)
+        report = data_issues(instance)
         if not report:
             return GeneratedInstance(
                 instance=instance,

@@ -45,7 +45,6 @@ class MapEvaluation:
     supply: FloatArray
     demand: FloatArray
     excess: FloatArray
-    inner_iterations: int
 
 
 def supply_problem(instance: ModelInstance, p: FloatArray) -> qp.QpProblem:
@@ -163,8 +162,8 @@ class _InnerMap:
             return None
         return x
 
-    def evaluate(self, c: FloatArray, neg_c: FloatArray, cmax: float) -> tuple[FloatArray, int]:
-        """Return (minimizer, active-set iterations) at linear term c.
+    def evaluate(self, c: FloatArray, neg_c: FloatArray, cmax: float) -> FloatArray:
+        """Return the minimizer at linear term c.
 
         ``neg_c`` is ``-c`` and ``cmax`` is ``max|c|``; the caller computes
         both once per price for the two inner programs.
@@ -173,7 +172,7 @@ class _InnerMap:
         if x is not None:
             self.fast_hits += 1
             self.last_x = x
-            return x, 0
+            return x
         if self.last_x is None:
             n = self.H.shape[0]
             res = qp.feasible_point(self.A, self.b, floor=self.floor, nonneg=True, n=n)
@@ -198,7 +197,7 @@ class _InnerMap:
         self.last_x = sol.x
         self.last_wset = sol.working_set
         self._refresh_basis(sol.working_set)
-        return sol.x, sol.iterations
+        return sol.x
 
 
 class ExcessEvaluator:
@@ -231,27 +230,25 @@ class ExcessEvaluator:
     def supply(self, p) -> FloatArray:
         """Unique maximizer of p'x - x'Cx over X."""
         p, pmax = self._price(p)
-        return self._supply.evaluate(-p, p, pmax)[0]
+        return self._supply.evaluate(-p, p, pmax)
 
     def demand(self, p) -> FloatArray:
         """Unique minimizer of p'x + x'Bx over X with l'x >= M."""
         p, pmax = self._price(p)
-        return self._demand.evaluate(p, -p, pmax)[0]
+        return self._demand.evaluate(p, -p, pmax)
 
     def evaluate(self, p) -> MapEvaluation:
         """Supply, demand and excess at p."""
-        s, d, iterations = self._both(*self._price(p))
-        return MapEvaluation(supply=s, demand=d, excess=s - d, inner_iterations=iterations)
+        s, d = self._both(*self._price(p))
+        return MapEvaluation(supply=s, demand=d, excess=s - d)
 
-    def _both(self, p: FloatArray, pmax: float) -> tuple[FloatArray, FloatArray, int]:
-        """Supply, demand and their active-set iterations; one negation of p.
+    def _both(self, p: FloatArray, pmax: float) -> tuple[FloatArray, FloatArray]:
+        """Supply and demand at p; one negation of p.
 
         |-p| = |p|, so max|p| is the certificate's max|c| for both programs.
         """
         neg_p = -p
-        s, it_s = self._supply.evaluate(neg_p, p, pmax)
-        d, it_d = self._demand.evaluate(p, neg_p, pmax)
-        return s, d, it_s + it_d
+        return self._supply.evaluate(neg_p, p, pmax), self._demand.evaluate(p, neg_p, pmax)
 
     # -- derived maps ------------------------------------------------------
 
@@ -268,7 +265,7 @@ class ExcessEvaluator:
         return eta
 
     def _step(self, p: FloatArray, pmax: float, eta: float) -> FloatArray:
-        s, d, _ = self._both(p, pmax)
+        s, d = self._both(p, pmax)
         return self.instance.domain.project(p - eta * (s - d))
 
     def nat_map(self, p, eta: float | None = None) -> FloatArray:

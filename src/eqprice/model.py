@@ -268,44 +268,52 @@ class ValidationIssue:
     severity: str = "error"
 
 
-def validate_instance(instance: ModelInstance) -> list[ValidationIssue]:
-    """Report violated invariants; an empty list means the instance is sound.
+def data_issues(instance: ModelInstance) -> list[ValidationIssue]:
+    """The findings a built instance can have that need no solve.
 
-    Checks symmetry and positive definiteness of both cost forms, M > 0,
-    nonemptiness of X (b >= 0 suffices since 0 in X) and of the demand set
-    {x in X : l'x >= M} (via a phase-1 solve), consistency of the derived
-    constants, and whether p0 had to be projected into the domain
-    (reported as a warning, not an error).
+    ``build`` already rejects asymmetric and non-positive-definite cost
+    forms and derives the constants, so what is left is M > 0, b >= 0
+    (x = 0 in X, so X is nonempty), eta inside (0, 2 mu_F] and whether p0
+    had to be projected into the domain; the last two are warnings.
     """
-    issues: list[ValidationIssue] = []
-    costs = instance.costs
-
-    for name, mat in (("C", costs.C), ("B", costs.B)):
-        if float(np.max(np.abs(mat - mat.T), initial=0.0)) > SYMMETRY_TOL:
-            issues.append(
-                ValidationIssue("NotSymmetric", f"{name} is not symmetric within {SYMMETRY_TOL:g}")
-            )
-            continue
-        lam = min_eigenvalue(mat)
-        if lam <= MIN_EIGENVALUE:
-            issues.append(
-                ValidationIssue(
-                    "NotPositiveDefinite", f"{name} has smallest eigenvalue {lam:.3e}"
-                )
-            )
-
+    issues = []
+    costs, c = instance.costs, instance.constants
     if not costs.M > 0.0:
         issues.append(ValidationIssue("NonpositiveFloor", f"M = {costs.M:g} must be positive"))
-
-    empty_x = bool(np.any(instance.feasible.b < 0.0))
-    if empty_x:
+    if (instance.feasible.b < 0.0).any():
         issues.append(
             ValidationIssue(
                 "EmptyFeasibleSet", "b has negative entries, so x = 0 violates Ax <= b"
             )
         )
+    if not 0.0 < c.eta <= 2.0 * c.mu_F + 1e-12:
+        issues.append(
+            ValidationIssue(
+                "EtaOutOfRange",
+                f"eta = {c.eta:g} outside (0, {2.0 * c.mu_F:g}]",
+                severity="warning",
+            )
+        )
+    if instance.p0_projected:
+        issues.append(
+            ValidationIssue(
+                "P0Projected",
+                "p0 was outside the price domain and has been projected",
+                severity="warning",
+            )
+        )
+    return issues
 
-    if not empty_x:
+
+def validate_instance(instance: ModelInstance) -> list[ValidationIssue]:
+    """Report violated invariants; an empty list means the instance is sound.
+
+    ``data_issues`` plus nonemptiness of the demand set {x in X : l'x >= M}
+    by a phase-1 solve, which runs only when b >= 0.
+    """
+    issues = data_issues(instance)
+    costs = instance.costs
+    if not (instance.feasible.b < 0.0).any():
         phase1 = qp.feasible_point(
             instance.feasible.A,
             instance.feasible.b,
@@ -320,47 +328,7 @@ def validate_instance(instance: ModelInstance) -> list[ValidationIssue]:
                     f"no x in X reaches the utility floor l'x >= {costs.M:g}",
                 )
             )
-
-    c = instance.constants
-    recomputed_ok = True
-    try:
-        fresh = compute_constants(costs, eta=c.eta)
-    except (ValueError, NotPositiveDefinite):
-        recomputed_ok = False
-    if recomputed_ok:
-        drift = max(
-            abs(fresh.mu_c - c.mu_c),
-            abs(fresh.mu_t - c.mu_t),
-            abs(fresh.mu_F - c.mu_F),
-            abs(fresh.L_c - c.L_c),
-            abs(fresh.L_t - c.L_t),
-        )
-        if drift > 1e-10 * (1.0 + abs(c.mu_c) + abs(c.mu_t)):
-            issues.append(
-                ValidationIssue("ConstantsInconsistent", "stored constants do not match costs")
-            )
-        if not 0.0 < c.eta <= 2.0 * c.mu_F + 1e-12:
-            issues.append(
-                ValidationIssue(
-                    "EtaOutOfRange",
-                    f"eta = {c.eta:g} outside (0, {2.0 * c.mu_F:g}]",
-                    severity="warning",
-                )
-            )
-
-    if instance.p0_projected:
-        issues.append(
-            ValidationIssue(
-                "P0Projected",
-                "p0 was outside the price domain and has been projected",
-                severity="warning",
-            )
-        )
     return issues
-
-
-def has_errors(report: list[ValidationIssue]) -> bool:
-    return any(issue.severity == "error" for issue in report)
 
 
 # ---------------------------------------------------------------------------

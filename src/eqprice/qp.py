@@ -362,6 +362,16 @@ def _kkt_residual_on_set(
     lam: FloatArray,
     wset: list[int],
 ) -> float:
+    """KKT residual of the active-set iterate, with the solver's multipliers.
+
+    This is not ``check_kkt``, and the two are kept apart on purpose.  This
+    residual uses the working set and multipliers the solver ended with, and
+    it decides whether a solve is ``OPTIMAL``, so its bits fix the reported
+    answers and iteration counts.  ``check_kkt`` finds the active rows
+    itself and refits the multipliers by least squares: it is the
+    independent reference that the benchmark checks and the tests compare
+    solver output against.
+    """
     grad = H @ x + c
     primal = float(np.max(G @ x - h, initial=0.0))
     if len(wset):

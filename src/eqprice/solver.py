@@ -85,19 +85,19 @@ class StepSchedule:
     """Step rules k -> lambda_k in (0,1) and k -> alpha_k > 0 (1-based k).
 
     Admissible rules decrease to zero with divergent sum lambda_k*alpha_k
-    and summable successive differences; the default 1/sqrt(k+1) pair has
-    all three properties (the sum behaves like sum 1/k).
+    and summable successive differences; the 1/sqrt(k+1) pair of
+    ``schedule_default``, the one rule the solver uses, has all three
+    properties (the sum behaves like sum 1/k).
     """
 
     lambda_of: Callable[[int], float]
     alpha_of: Callable[[int], float]
-    name: str = "custom"
 
 
 def schedule_default() -> StepSchedule:
     """The rule lambda_k = alpha_k = 1/sqrt(k+1)."""
     rule = lambda k: 1.0 / math.sqrt(k + 1.0)  # noqa: E731
-    return StepSchedule(lambda_of=rule, alpha_of=rule, name="sqrt")
+    return StepSchedule(lambda_of=rule, alpha_of=rule)
 
 
 def gamma_k(beta: float, L: float, alpha: float) -> float:
@@ -160,7 +160,6 @@ def bilevel_solve(
     map_oracle: Callable[[FloatArray], FloatArray],
     objective: Objective,
     domain: PriceDomain,
-    schedule: StepSchedule | None = None,
     eps: float = 1e-4,
     max_iter: int = 10_000,
     start: FloatArray | None = None,
@@ -168,6 +167,8 @@ def bilevel_solve(
     callback: Callable[[IterationState], None] | None = None,
 ) -> SolveReport:
     """Minimize the anchor objective over the fixed points of ``map_oracle``.
+
+    The steps follow ``schedule_default``, lambda_k = alpha_k = 1/sqrt(k+1).
 
     Parameters
     ----------
@@ -178,8 +179,6 @@ def bilevel_solve(
         Anchor objective; its minimizer over Fix(T) is the target.
     domain : PriceDomain
         Price set P with closed-form projection.
-    schedule : StepSchedule, optional
-        Defaults to the 1/sqrt(k+1) rule.
     eps : float
         Stop when ||p_{k+1} - p_k|| / max(||p_{k+1}||, 1) < eps.
     max_iter : int
@@ -200,8 +199,7 @@ def bilevel_solve(
         machine precision (the current iterate already minimizes f on P
         and is fixed under T), CONVERGED on the step rule, else ITER_LIMIT.
     """
-    if schedule is None:
-        schedule = schedule_default()
+    schedule = schedule_default()
     p = domain.project(np.asarray(start if start is not None else objective.p0, dtype=float))
     rows: list[TraceRow] = []
     termination = Termination.ITER_LIMIT

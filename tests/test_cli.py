@@ -91,6 +91,57 @@ class TestSolveCommand:
         assert main(["solve", str(path)]) == 1
         assert "EmptyFeasibleSet" in capsys.readouterr().err
 
+    # Each case edits a 1-D instance (C = B = l = A = 1, M = 2, b = 10,
+    # p0 = 1; the asymmetric C needs n = 2) and pins the exit code and the
+    # whole stderr of ``eqprice solve``.  Errors from building the instance
+    # come before every validation finding, and only errors are shown when
+    # there are any.
+    @pytest.mark.parametrize(
+        "edits, code, stderr",
+        [
+            (
+                dict(n=2, C=[[2.0, 1.0], [0.0, 2.0]], B=[[1.0, 0.0], [0.0, 1.0]],
+                     l=[1.0, 1.0], A=[[1.0, 1.0]], p0=[1.0, 1.0]),
+                1,
+                "error: C is not symmetric within 1e-10\n",
+            ),
+            (dict(C=[[-1.0]]), 1, "error: C has smallest eigenvalue -1.000e+00\n"),
+            (
+                dict(b=[1.0]),
+                1,
+                "error: DemandInfeasible: no x in X reaches the utility floor l'x >= 2\n",
+            ),
+            (
+                dict(b=[1.0], p0=[-3.0]),
+                1,
+                "error: DemandInfeasible: no x in X reaches the utility floor l'x >= 2\n",
+            ),
+            (
+                dict(p0=[-3.0]),
+                0,
+                "warning: P0Projected: p0 was outside the price domain and has been projected\n",
+            ),
+            (dict(eta=50), 2, "warning: EtaOutOfRange: eta = 50 outside (0, 2]\n"),
+            (
+                dict(b=[-1.0], M=-1.0),
+                1,
+                "error: NonpositiveFloor: M = -1 must be positive; "
+                "EmptyFeasibleSet: b has negative entries, so x = 0 violates Ax <= b\n",
+            ),
+        ],
+        ids=["asymmetric", "indefinite", "demand", "demand-and-p0", "p0", "eta", "floor-and-b"],
+    )
+    def test_validation_text_is_pinned(self, tmp_path, capsys, edits, code, stderr):
+        doc = {"n": 1, "m": 1, "C": [[1.0]], "B": [[1.0]], "l": [1.0], "M": 2.0,
+               "A": [[1.0]], "b": [10.0], "domain": {"kind": "orthant"}, "p0": [1.0]}
+        doc.update(edits)
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(doc))
+        # The expansive eta = 50 runs to the iteration limit; keep that short.
+        limit = ["--max-iter", "20"] if "eta" in edits else []
+        assert main(["solve", str(path), *limit]) == code
+        assert capsys.readouterr().err == stderr
+
 
 class TestTraceCommand:
     def test_trace_reaches_default_threshold(self, combined_path, tmp_path):
@@ -147,6 +198,21 @@ class TestBenchCommand:
     def test_unequal_lists_exit_one(self, capsys):
         assert main(["bench", "--n", "2,3", "--m", "1"]) == 1
         assert "equal length" in capsys.readouterr().err
+
+    def test_generation_failure_exits_one_without_csv(self, tmp_path, capsys):
+        # No draw admits eta = 1e9, so all 100 attempts fail quickly.
+        out = tmp_path / "out.csv"
+        code = main(
+            ["bench", "--n", "2", "--m", "1", "--trials", "1", "--seed", "0",
+             "--eta", "1e9", "--csv", str(out)]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: 100 attempts exhausted; ")
+        assert not out.exists()
 
     def test_box_domain_sweep(self, tmp_path):
         out = tmp_path / "box.csv"

@@ -14,7 +14,6 @@ from eqprice.model import (
     NotPositiveDefinite,
     PriceDomain,
     compute_constants,
-    has_errors,
     instance_from_json,
     instance_to_json,
     validate_instance,
@@ -108,7 +107,7 @@ class TestValidateInstance:
         )
         report = validate_instance(inst)
         assert any(issue.code == "DemandInfeasible" for issue in report)
-        assert has_errors(report)
+        assert any(i.severity == "error" for i in report)
 
     def test_empty_feasible_set_reported(self):
         inst = ModelInstance.build(
@@ -125,7 +124,7 @@ class TestValidateInstance:
         np.testing.assert_allclose(inst.p0, [0.0])
         report = validate_instance(inst)
         assert any(issue.code == "P0Projected" for issue in report)
-        assert not has_errors(report)
+        assert not any(i.severity == "error" for i in report)
 
     def test_instance_arrays_are_readonly(self, combined_1d):
         with pytest.raises(ValueError):
