@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,8 +41,6 @@ class BenchRow:
     avg_time_s: float
     avg_iterations: float
     trials: int
-    domain_kind: str
-    seed_base: int
     iteration_limited: int = 0
 
 
@@ -100,6 +99,10 @@ def _report_doc(report: SolveReport, eps: float, eta: float) -> dict:
     }
 
 
+def _print_warning(message, category, *_) -> None:
+    print(f"warning: {category.__name__}: {message}", file=sys.stderr)
+
+
 def _load_and_validate(path: str) -> ModelInstance:
     instance = load_instance(path)
     report = validate_instance(instance)
@@ -123,9 +126,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        report = _solve_instance(
-            instance, args.eps, args.max_iter, args.eta, args.weight, args.trace_every
-        )
+        with warnings.catch_warnings():
+            warnings.showwarning = _print_warning  # as 'warning: Code: text'
+            report = _solve_instance(
+                instance, args.eps, args.max_iter, args.eta, args.weight, args.trace_every
+            )
     except InnerSolveFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -216,8 +221,6 @@ def run_bench(
                 avg_time_s=sum(times) / trials,
                 avg_iterations=sum(iters) / trials,
                 trials=trials,
-                domain_kind=domain_kind,
-                seed_base=seed,
                 iteration_limited=size_limited,
             )
         )

@@ -38,6 +38,10 @@ class InnerSolveFailed(RuntimeError):
     """An inner quadratic program did not reach a certified optimum."""
 
 
+class EtaOutOfRange(UserWarning):
+    """A map step outside (0, 2 mu_F]; the projected step may be expansive."""
+
+
 @dataclass(frozen=True)
 class MapEvaluation:
     """Joint supply/demand/excess values at one price."""
@@ -209,6 +213,7 @@ class ExcessEvaluator:
 
     def __init__(self, instance: ModelInstance):
         self.instance = instance
+        self._project = instance.domain.project
         costs, feasible = instance.costs, instance.feasible
         self._supply = _InnerMap("supply", costs.C, feasible.A, feasible.b, None)
         self._demand = _InnerMap("demand", costs.B, feasible.A, feasible.b, (costs.l, costs.M))
@@ -258,15 +263,12 @@ class ExcessEvaluator:
         eta = float(eta)
         bound = 2.0 * self.instance.constants.mu_F
         if not 0.0 < eta <= bound + 1e-12:
-            warnings.warn(
-                f"eta = {eta:g} outside (0, {bound:g}]; the projected step may be expansive",
-                stacklevel=3,
-            )
+            warnings.warn(f"eta = {eta:g} outside (0, {bound:g}]", EtaOutOfRange, stacklevel=3)
         return eta
 
     def _step(self, p: FloatArray, pmax: float, eta: float) -> FloatArray:
         s, d = self._both(p, pmax)
-        return self.instance.domain.project(p - eta * (s - d))
+        return self._project(p - eta * (s - d))
 
     def nat_map(self, p, eta: float | None = None) -> FloatArray:
         """Projected step P_P(p - eta * F(p)); fixed points are equilibria."""

@@ -21,7 +21,7 @@ import math
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 import numpy.typing as npt
@@ -113,16 +113,7 @@ def gamma_k(beta: float, L: float, alpha: float) -> float:
     return 1.0 - math.sqrt(max(radicand, 0.0))
 
 
-def gradient_step(
-    objective: Objective, p: FloatArray, alpha: float, domain: PriceDomain
-) -> FloatArray:
-    """Projected gradient step P_P(p - alpha * grad f(p))."""
-    p = np.asarray(p, dtype=float).reshape(-1)
-    return domain.project(p - alpha * objective.gradient(p))
-
-
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(NamedTuple):
     """One iteration record: residuals and objective at iterate k."""
 
     k: int
@@ -199,33 +190,43 @@ def bilevel_solve(
         machine precision (the current iterate already minimizes f on P
         and is fixed under T), CONVERGED on the step rule, else ITER_LIMIT.
     """
-    schedule = schedule_default()
-    p = domain.project(np.asarray(start if start is not None else objective.p0, dtype=float))
+    rule = schedule_default().lambda_of  # alpha_of is the same rule
+    project = domain.project
+    p0, weight = objective.p0, objective.weight
+    p = project(np.asarray(start if start is not None else p0, dtype=float))
+    # The exact test implies ||dp|| <= sqrt(n) 1e-14 (1 + ||p||) <= sqrt(n) 1e-14
+    # (1 + ||p_next|| + ||dp||), so it runs only within 10x that bound (the 10
+    # covers rounding).  A NaN step fails both; an infinite one passes the bound.
+    exact_gate = 1e-13 * math.sqrt(p.size)
     rows: list[TraceRow] = []
     termination = Termination.ITER_LIMIT
     t0 = time.perf_counter()
     for k in range(1, max_iter + 1):
-        lam = schedule.lambda_of(k)
-        alpha = schedule.alpha_of(k)
-        g = objective.gradient(p)
-        q = domain.project(p - alpha * g)
+        lam = alpha = rule(k)
+        d = p - p0  # g and f_value as in Objective.gradient and Objective.value
+        g = (2.0 * weight) * d
+        q = project(p - alpha * g)
         tp = map_oracle(p)
         p_next = lam * q + (1.0 - lam) * tp
 
         # Norms as sqrt(v.dot(v)), which is how np.linalg.norm computes them.
         dp = p_next - p
-        step_residual = math.sqrt(dp.dot(dp)) / max(math.sqrt(p_next.dot(p_next)), 1.0)
+        dp_norm = math.sqrt(dp.dot(dp))
+        pn_norm = math.sqrt(p_next.dot(p_next))
+        step_residual = dp_norm / max(pn_norm, 1.0)
         if trace_vi_every > 0 and (k - 1) % trace_vi_every == 0:
             r = p - tp
             vi_res = math.sqrt(r.dot(r)) / max(math.sqrt(p.dot(p)), 1.0)
         else:
             vi_res = math.nan
-        rows.append(TraceRow(k=k, step_residual=step_residual, vi_residual=vi_res, f_value=objective.value(p)))
+        rows.append(TraceRow(k, step_residual, vi_res, weight * float(d @ d)))
         if callback is not None:
             callback(IterationState(k=k, p=p, q=q, g=g, Tp=tp, step_residual=step_residual))
 
-        scale = 1e-14 * (1.0 + float(abs(p).max()))
-        exact = float(abs(p - q).max()) <= scale and float(abs(dp).max()) <= scale
+        exact = False
+        if dp_norm <= exact_gate * (1.0 + pn_norm + dp_norm):
+            scale = 1e-14 * (1.0 + float(abs(p).max()))
+            exact = float(abs(p - q).max()) <= scale and float(abs(dp).max()) <= scale
         p = p_next
         if exact:
             termination = Termination.EXACT_FIXED_POINT

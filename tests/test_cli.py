@@ -142,6 +142,22 @@ class TestSolveCommand:
         assert main(["solve", str(path), *limit]) == code
         assert capsys.readouterr().err == stderr
 
+    @pytest.mark.parametrize("command", ["solve", "trace"])
+    def test_explicit_eta_warns_like_the_file(self, tmp_path, capsys, command):
+        # --eta 50 prints the line that "eta": 50 in the file gives (the "eta"
+        # case above), and no Python warning text.
+        doc = {"n": 1, "m": 1, "C": [[1.0]], "B": [[1.0]], "l": [1.0], "M": 2.0,
+               "A": [[1.0]], "b": [10.0], "domain": {"kind": "orthant"}, "p0": [1.0]}
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "trace.csv"
+        extra = ["--csv", str(out)] if command == "trace" else []
+        assert main([command, str(path), "--eta", "50", "--max-iter", "20", *extra]) == 2
+        stderr = "warning: EtaOutOfRange: eta = 50 outside (0, 2]\n"
+        if command == "trace":
+            stderr += f"wrote 20 rows to {out} (iter_limit)\n"
+        assert capsys.readouterr().err == stderr
+
 
 class TestTraceCommand:
     def test_trace_reaches_default_threshold(self, combined_path, tmp_path):

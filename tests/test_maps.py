@@ -7,7 +7,7 @@ import pytest
 
 from eqprice.cli import trial_seed
 from eqprice.gen import GenConfig, random_instance
-from eqprice.maps import ExcessEvaluator, InnerSolveFailed
+from eqprice.maps import EtaOutOfRange, ExcessEvaluator, InnerSolveFailed
 from eqprice.model import PriceDomain
 from conftest import make_combined_1d, make_saturated_1d
 
@@ -100,7 +100,7 @@ class TestNatMap:
         np.testing.assert_allclose(t, [3.0], atol=1e-9)
 
     def test_warns_outside_admissible_step(self, combined_1d):
-        with pytest.warns(UserWarning):
+        with pytest.warns(EtaOutOfRange, match=r"^eta = 5 outside \(0, 2\]$"):
             ExcessEvaluator(combined_1d).nat_map([2.0], eta=5.0)
 
 

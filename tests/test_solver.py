@@ -1,10 +1,13 @@
 """Hybrid solver, schedules, step coefficients and the KM baseline."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from eqprice.cli import trial_seed
+from eqprice.gen import GenConfig, generate
 from eqprice.maps import ExcessEvaluator
 from eqprice.model import AgentCosts, FeasibleSet, ModelInstance, PriceDomain
 from eqprice.solver import (
@@ -13,9 +16,9 @@ from eqprice.solver import (
     Termination,
     bilevel_solve,
     gamma_k,
-    gradient_step,
     km_fixed_point,
     schedule_default,
+    trace_csv_rows,
 )
 from conftest import make_combined_1d, make_saturated_1d
 
@@ -78,20 +81,34 @@ class TestGamma:
 
 
 class TestGradientStep:
+    """The loop's projected gradient step q_1 = P(p_1 - alpha_1 grad f(p_1)).
+
+    alpha_1 = 1/sqrt(2); the map value does not enter q.
+    """
+
+    @staticmethod
+    def first_q(objective, start, domain):
+        states = []
+        bilevel_solve(
+            identity_oracle, objective, domain, start=np.array(start), max_iter=1,
+            callback=states.append,
+        )
+        (state,) = states
+        return state.q
+
     def test_step_to_origin(self):
-        obj = Objective(p0=[0.0, 0.0])
-        out = gradient_step(obj, np.array([2.0, 2.0]), 0.5, PriceDomain.orthant())
-        np.testing.assert_allclose(out, [0.0, 0.0])
+        # 2 - alpha_1 * 2 * 2 < 0 in both entries, so the orthant clips to 0.
+        q = self.first_q(Objective(p0=[0.0, 0.0]), [2.0, 2.0], PriceDomain.orthant())
+        np.testing.assert_allclose(q, [0.0, 0.0])
 
     def test_stationary_at_anchor(self):
-        obj = Objective(p0=[3.0, 1.0])
-        out = gradient_step(obj, np.array([3.0, 1.0]), 0.7, PriceDomain.orthant())
-        np.testing.assert_allclose(out, [3.0, 1.0])
+        q = self.first_q(Objective(p0=[3.0, 1.0]), [3.0, 1.0], PriceDomain.orthant())
+        np.testing.assert_allclose(q, [3.0, 1.0])
 
     def test_clipped_by_box(self):
-        obj = Objective(p0=[5.0])
-        out = gradient_step(obj, np.array([1.0]), 0.25, PriceDomain.box([0.0], [3.0]))
-        np.testing.assert_allclose(out, [3.0])
+        # 1 + alpha_1 * 2 * 4 = 6.66 lies above the upper bound 3.
+        q = self.first_q(Objective(p0=[5.0]), [1.0], PriceDomain.box([0.0], [3.0]))
+        np.testing.assert_allclose(q, [3.0])
 
 
 class TestContractionInequality:
@@ -278,6 +295,59 @@ class TestBilevelSolve:
         )
         for p in iterates[k0 - 1 :]:
             assert np.linalg.norm(p - pbar) <= bound + 1e-6
+
+
+class TestLoopOutputsArePinned:
+    """The outer loop's bookkeeping: trace bits, the exact-fixed-point stop,
+    a non-finite map and immutable trace rows."""
+
+    @pytest.mark.parametrize(
+        "n, m, iterations, digest",
+        [
+            (5, 3, 493, "8002ac36cd699da92ac17c340187ce54551670cae58f84f2bc0ff7a15ff13d31"),
+            (10, 8, 1101, "8f8d17b8554aaba81b1825f5f3a13ad38e4793c759566ef0f2ddc822bdf6e978"),
+        ],
+    )
+    def test_protocol_trace_is_pinned(self, n, m, iterations, digest):
+        # Bench protocol, trial 0 at seed 42: eps 1e-4, weight 0.25, zero
+        # start, eta = 2 mu_F and the VI residual every 10 iterations.
+        inst = generate(GenConfig(n=n, m=m, seed=trial_seed(42, n, m, 0))).instance
+        report = bilevel_solve(
+            ExcessEvaluator(inst).map_oracle(eta=2.0 * inst.constants.mu_F),
+            Objective(p0=inst.p0, weight=0.25),
+            inst.domain,
+            eps=1e-4,
+            start=np.zeros(n),
+            trace_vi_every=10,
+        )
+        text = "".join(",".join(row) + "\n" for row in trace_csv_rows(report.trace))
+        assert report.iterations == iterations
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("n", [1, 5, 50])
+    def test_identity_at_anchor_is_exact_at_once(self, n, rng):
+        # eps = 0 never stops on the step rule, so only the exact test can.
+        p0 = rng.uniform(0.0, 100.0, size=n)
+        report = bilevel_solve(
+            identity_oracle, Objective(p0=p0), PriceDomain.orthant(), eps=0.0, start=p0
+        )
+        assert report.termination is Termination.EXACT_FIXED_POINT
+        assert report.iterations == 1
+
+    def test_nan_map_runs_to_the_limit(self):
+        report = bilevel_solve(
+            lambda p: np.full_like(p, np.nan),
+            Objective(p0=[1.0, 2.0]),
+            PriceDomain.orthant(),
+            max_iter=7,
+        )
+        assert report.termination is Termination.ITER_LIMIT
+        assert len(report.trace) == report.iterations == 7
+
+    def test_trace_rows_are_immutable(self):
+        report = bilevel_solve(identity_oracle, Objective(p0=[1.0]), PriceDomain.orthant())
+        with pytest.raises(AttributeError):
+            report.trace[0].f_value = 0.0
 
 
 class TestKmFixedPoint:
