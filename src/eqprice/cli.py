@@ -103,9 +103,10 @@ def _print_warning(message, category, *_) -> None:
     print(f"warning: {category.__name__}: {message}", file=sys.stderr)
 
 
-def _load_and_validate(path: str) -> ModelInstance:
+def _load_and_validate(path: str, skip: tuple[str, ...] = ()) -> ModelInstance:
+    """Load and validate; findings whose code is in ``skip`` are dropped."""
     instance = load_instance(path)
-    report = validate_instance(instance)
+    report = [issue for issue in validate_instance(instance) if issue.code not in skip]
     errors = [issue for issue in report if issue.severity == "error"]
     if errors:
         raise InstanceFormatError(
@@ -120,7 +121,9 @@ def _load_and_validate(path: str) -> ModelInstance:
 def cmd_solve(args: argparse.Namespace) -> int:
     """Handler of ``solve`` (report JSON, optional trace) and ``trace`` (trace CSV)."""
     try:
-        instance = _load_and_validate(args.instance)
+        # An explicit --eta replaces the file's step; the map checks its range.
+        skip = ("EtaOutOfRange",) if args.eta is not None else ()
+        instance = _load_and_validate(args.instance, skip)
         _check_schedule(args.schedule)
     except (InstanceFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -32,6 +32,7 @@ from .model import ModelInstance
 FloatArray = npt.NDArray[np.float64]
 
 CERTIFY_TOL = 1e-8
+_max, _min = np.maximum.reduce, np.minimum.reduce  # ndarray.max/min minus the wrapper
 
 
 class InnerSolveFailed(RuntimeError):
@@ -146,22 +147,22 @@ class _InnerMap:
         if self._basis is None:
             return None
         # The bench iteration counts must not drift, so every operation here
-        # keeps its order and operands: K_x and K_l stay two products, as one
-        # product with the stacked [K_x; K_l] rounds differently, and the
-        # method reductions below are bit for bit the numpy wrappers
-        # (np.linalg.norm of a 1-D float array is sqrt(v.dot(v))).
+        # keeps its order and operands.  Reductions are the ufunc reductions
+        # that ndarray.max/min wrap and products are .dot (the BLAS call of @),
+        # bit for bit; K_x and K_l stay two products, as one stacked product
+        # rounds differently (np.linalg.norm of 1-D v is sqrt(v.dot(v))).
         K_x, c_x, K_l, c_l, GwT = self._basis
-        x = K_x @ neg_c + c_x
-        lam = K_l @ neg_c + c_l
-        if lam.size and float(lam.min()) < -1e-9:
+        x = K_x.dot(neg_c) + c_x
+        lam = K_l.dot(neg_c) + c_l
+        if lam.size and float(_min(lam)) < -1e-9:
             return None
-        viol = max(float((self.G @ x - self.h).max()), 0.0)
+        viol = max(float(_max(self.G.dot(x) - self.h)), 0.0)
         if viol > 1e-9 * self.hscale:
             return None
-        hx = self.H @ x
-        r = hx + c + GwT @ lam
+        hx = self.H.dot(x)
+        r = hx + c + GwT.dot(lam)
         stat = math.sqrt(r.dot(r))
-        scale = 1.0 + cmax + float(abs(hx).max())
+        scale = 1.0 + cmax + float(_max(abs(hx)))
         if max(viol, stat) > CERTIFY_TOL * scale:
             return None
         return x
@@ -213,7 +214,7 @@ class ExcessEvaluator:
 
     def __init__(self, instance: ModelInstance):
         self.instance = instance
-        self._project = instance.domain.project
+        self._project = instance.domain.projector(instance.n)
         costs, feasible = instance.costs, instance.feasible
         self._supply = _InnerMap("supply", costs.C, feasible.A, feasible.b, None)
         self._demand = _InnerMap("demand", costs.B, feasible.A, feasible.b, (costs.l, costs.M))
@@ -227,7 +228,7 @@ class ExcessEvaluator:
         p = np.asarray(p, dtype=float).reshape(-1)
         if p.shape[0] != self.instance.n:
             raise ValueError(f"price vector has length {p.shape[0]}, expected {self.instance.n}")
-        pmax = float(abs(p).max())
+        pmax = float(_max(abs(p)))
         if not math.isfinite(pmax):
             raise ValueError("price vector has non-finite entries")
         return p, pmax

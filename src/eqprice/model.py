@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import numpy.typing as npt
@@ -89,9 +90,14 @@ class PriceDomain:
     def project(self, p) -> FloatArray:
         """Componentwise nearest point in P."""
         p = np.asarray(p, dtype=float).reshape(-1)
+        return self.projector(p.shape[0])(p)
+
+    def projector(self, n: int) -> Callable[[FloatArray], FloatArray]:
+        """``project`` without its checks, for 1-D float arrays of length n; bind once."""
         if self.kind == ORTHANT:
-            return np.maximum(p, 0.0)
-        return np.clip(p, self.lower, self.upper)
+            zero = np.zeros(n)  # the bits of np.maximum(p, 0.0), signed zeros and NaN too
+            return lambda p: np.maximum(p, zero)
+        return lambda p: np.clip(p, self.lower, self.upper)
 
     def contains(self, p, tol: float = 1e-12) -> bool:
         p = np.asarray(p, dtype=float).reshape(-1)

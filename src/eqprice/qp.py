@@ -27,6 +27,7 @@ DEFAULT_TOL = 1e-9
 # Relaxation applied to the right-hand side of rows in a degenerate
 # (linearly dependent) working set before re-solving.
 DEGENERACY_BUMP = 1e-12
+_max, _min = np.maximum.reduce, np.minimum.reduce  # ndarray.max/min minus the wrapper
 
 
 class QpStatus(str, Enum):
@@ -244,8 +245,8 @@ def _active_set(
     it = 0
     while it < max_iter:
         it += 1
-        grad = H @ x + c
-        grad_scale = float(abs(grad).max())
+        grad = H.dot(x) + c
+        grad_scale = float(_max(abs(grad)))
         sol = _kkt_step(H, G, grad, grad_scale, wset)
         if sol is None:
             # Linearly dependent working set: relax the offending rows a
@@ -259,17 +260,17 @@ def _active_set(
             wset = []
             continue
         d, lam = sol
-        at_optimum = float(abs(d).max()) <= 1e-12 * (1.0 + float(abs(x).max()))
+        at_optimum = float(_max(abs(d))) <= 1e-12 * (1.0 + float(_max(abs(x))))
         if not at_optimum:
             # Ratio test over rows not in the working set.
-            Gd = G @ d
+            Gd = G.dot(d)
             eligible = Gd > 1e-13 * hs
             if wset:
                 eligible[wset] = False
             alpha = 1.0
             blocking = -1
             if eligible.any():
-                slack = np.maximum(h - G @ x, 0.0)
+                slack = np.maximum(h - G.dot(x), 0.0)
                 ratios = np.full(G.shape[0], np.inf)
                 ratios[eligible] = slack[eligible] / Gd[eligible]
                 i_min = int(ratios.argmin())
@@ -285,7 +286,7 @@ def _active_set(
             # rather than re-deriving a roundoff-sized step next round.
         # Optimal unless some working-set multiplier is clearly negative;
         # otherwise drop the row with the most negative one.
-        if lam.size == 0 or float(lam.min()) >= -1e-10 * (1.0 + grad_scale):
+        if lam.size == 0 or float(_min(lam)) >= -1e-10 * (1.0 + grad_scale):
             return x, lam, wset, it, True
         drop = wset[int(lam.argmin())]
         wset = [i for i in wset if i != drop]
@@ -346,8 +347,8 @@ def _kkt_step(
     if not np.isfinite(sol).all():
         return None
     # Reject solutions of nearly singular systems that fail to solve.
-    err = float(abs(kkt @ sol - rhs).max())
-    scale = 1.0 + grad_scale + float(abs(sol).max())
+    err = float(_max(abs(kkt.dot(sol) - rhs)))
+    scale = 1.0 + grad_scale + float(_max(abs(sol)))
     if err > 1e-7 * scale:
         return None
     return sol[:n], sol[n:]

@@ -191,9 +191,9 @@ def bilevel_solve(
         and is fixed under T), CONVERGED on the step rule, else ITER_LIMIT.
     """
     rule = schedule_default().lambda_of  # alpha_of is the same rule
-    project = domain.project
     p0, weight = objective.p0, objective.weight
-    p = project(np.asarray(start if start is not None else p0, dtype=float))
+    p = domain.project(start if start is not None else p0)
+    project = domain.projector(p.size)
     # The exact test implies ||dp|| <= sqrt(n) 1e-14 (1 + ||p||) <= sqrt(n) 1e-14
     # (1 + ||p_next|| + ||dp||), so it runs only within 10x that bound (the 10
     # covers rounding).  A NaN step fails both; an infinite one passes the bound.

@@ -158,6 +158,24 @@ class TestSolveCommand:
             stderr += f"wrote 20 rows to {out} (iter_limit)\n"
         assert capsys.readouterr().err == stderr
 
+    @pytest.mark.parametrize(
+        "eta, code, stderr",
+        [("1", 0, ""), ("50", 2, "warning: EtaOutOfRange: eta = 50 outside (0, 2]\n")],
+        ids=["admissible", "expansive"],
+    )
+    def test_explicit_eta_replaces_the_files(self, tmp_path, capsys, eta, code, stderr):
+        # The file's "eta": 50 is not the step the solve uses, so only the
+        # --eta value is checked, and an expansive one is reported once (and
+        # runs to the iteration limit; keep that short).
+        doc = {"n": 1, "m": 1, "C": [[1.0]], "B": [[1.0]], "l": [1.0], "M": 2.0, "A": [[1.0]],
+               "b": [10.0], "domain": {"kind": "orthant"}, "p0": [1.0], "eta": 50}
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "report.json"
+        limit = ["--max-iter", "20"] if code == 2 else []
+        assert main(["solve", str(path), "--eta", eta, *limit, "--out", str(out)]) == code
+        assert capsys.readouterr().err == stderr
+
 
 class TestTraceCommand:
     def test_trace_reaches_default_threshold(self, combined_path, tmp_path):

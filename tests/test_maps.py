@@ -1,10 +1,16 @@
 """Supply/demand/excess maps, the projection step and their properties."""
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from eqprice import maps, qp
 from eqprice.cli import trial_seed
 from eqprice.gen import GenConfig, random_instance
 from eqprice.maps import EtaOutOfRange, ExcessEvaluator, InnerSolveFailed
@@ -74,6 +80,36 @@ class TestProjectPrice:
         np.testing.assert_allclose(
             PriceDomain.orthant().project([3.0, 4.0]), [3.0, 4.0]
         )
+
+    @pytest.mark.parametrize("n", [1, 50])
+    @pytest.mark.parametrize("kind", ["orthant", "box"])
+    def test_bound_projector_matches_project(self, kind, n, rng):
+        # The kernel that the solver and the evaluator bind once must give the
+        # bits of project and of the closed forms np.maximum(p, 0.0) and
+        # np.clip(p, lower, upper), signed zeros, infinities and NaN included.
+        if kind == "orthant":
+            dom, closed_form = PriceDomain.orthant(), lambda p: np.maximum(p, 0.0)
+        else:
+            dom = PriceDomain.box(np.full(n, -1.0), np.full(n, 10.0))
+            closed_form = lambda p: np.clip(p, dom.lower, dom.upper)  # noqa: E731
+        kernel = dom.projector(n)
+        specials = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan])
+        points = [np.full(n, -0.0), np.full(n, 0.0)]
+        for _ in range(20):
+            p = rng.uniform(-20.0, 20.0, size=n)
+            p[rng.integers(0, n, size=min(n, 5))] = rng.choice(specials, size=min(n, 5))
+            points.append(p)
+        for p in points:
+            out = kernel(p)
+            for ref in (dom.project(p), closed_form(p)):
+                np.testing.assert_array_equal(out, ref)
+                np.testing.assert_array_equal(np.signbit(out), np.signbit(ref))
+
+    def test_project_accepts_lists_and_2d(self):
+        dom = PriceDomain.orthant()
+        np.testing.assert_array_equal(dom.project([[1.0, -2.0], [-0.5, 3.0]]), [1.0, 0.0, 0.0, 3.0])
+        box = PriceDomain.box([0.0, 0.0], [2.0, 2.0])
+        np.testing.assert_array_equal(box.project([[5.0, -1.0]]), [2.0, 0.0])
 
     def test_idempotent_and_nonexpansive(self, rng):
         for dom in (PriceDomain.orthant(), PriceDomain.box([0.0, 0.0], [8.0, 8.0])):
@@ -159,6 +195,30 @@ class TestProblemBuilders:
             np.testing.assert_allclose(ev.demand(p), d_direct, atol=1e-8)
 
 
+SRC = str(Path(maps.__file__).resolve().parents[1])
+# An evaluator primed at p0 of a 50/30 orthant instance, then the ten prices
+# of that case in order; each demand answer's qp.check_kkt residual on the
+# evaluator's own certificate scale 1 + max|p| + max|Hx|.
+SCATTER_CASE_13 = """
+import json
+import numpy as np
+from eqprice import maps, qp
+from eqprice.cli import trial_seed
+from eqprice.gen import GenConfig, random_instance
+inst = random_instance(GenConfig(n=50, m=30, seed=trial_seed(48, 50, 30, 13)))
+rng = np.random.default_rng(np.random.SeedSequence([48, 50, 30, 0x5CA77E5]))
+ev = maps.ExcessEvaluator(inst)
+ev.evaluate(inst.p0)
+residuals = []
+for p in rng.uniform(0.0, 100.0, size=(10, 40, 50))[:, 13]:
+    x = ev.demand(p)
+    problem = maps.demand_problem(inst, p)
+    scale = 1.0 + float(np.max(np.abs(p))) + float(np.max(np.abs(2.0 * problem.Q @ x)))
+    residuals.append(qp.check_kkt(problem, x) / scale)
+print(json.dumps(residuals))
+"""
+
+
 class TestEvaluatorCaching:
     def test_repeat_price_reuses_basis(self, combined_1d):
         ev = ExcessEvaluator(combined_1d)
@@ -208,6 +268,27 @@ class TestEvaluatorCaching:
             "bed4aa0a7d994d75737f07d03b7c5ba44fe8b7cf7f8a1193ba8b737eda6c32e3"
         )
         assert (ev.qp_solves, ev.inner_iterations) == (19, 138)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="with one BLAS thread the cached basis and warm start certify "
+        "demand answers that qp.check_kkt finds 1.04-1.13e-8 loose",
+    )
+    def test_scattered_demand_passes_the_independent_check(self):
+        # Case 13 of the price-scatter benchmark at seed 48, rebuilt from the
+        # library in a child process with the benchmark's single BLAS thread
+        # (with two threads the same answers land at 4-7e-9).
+        path = [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        out = subprocess.run(
+            [sys.executable, "-c", SCATTER_CASE_13],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        residuals = json.loads(out.stdout)
+        assert len(residuals) == 10
+        assert max(residuals) <= maps.CERTIFY_TOL, residuals
 
     def test_iteration_limit_surfaces(self, combined_1d):
         ev = ExcessEvaluator(combined_1d)

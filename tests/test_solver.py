@@ -306,6 +306,8 @@ class TestLoopOutputsArePinned:
         [
             (5, 3, 493, "8002ac36cd699da92ac17c340187ce54551670cae58f84f2bc0ff7a15ff13d31"),
             (10, 8, 1101, "8f8d17b8554aaba81b1825f5f3a13ad38e4793c759566ef0f2ddc822bdf6e978"),
+            (30, 20, 1472, "5702bf89beff8ad4c2ab9a6a9f9c2f5e0fa0b32c47bf8ba856c212a5bd0e2d28"),
+            (50, 30, 1958, "52f836266bf0a09679356ce9069978467de5f2fc66265aea9fdcc6a3992296fe"),
         ],
     )
     def test_protocol_trace_is_pinned(self, n, m, iterations, digest):
