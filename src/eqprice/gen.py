@@ -4,7 +4,7 @@ Cost forms are factor products F'F with factor entries uniform in
 [-10, 10]; A and b entries are uniform in (0, 20) so that x = 0 is always
 feasible and X is bounded; guessed prices are uniform in [0, 100].  The
 utility weights, the utility floor and the box bounds have no canonical
-choice, so the generator fills them with documented defaults: l uniform in
+choice, so the generator fixes them (the ``GenConfig`` constants): l uniform in
 (0, 10], M at a fixed fraction (0.9) of the maximum achievable utility
 over X (a small linear program), and box = [0, 100]^n matching the
 guessed-price range.  All randomness flows from one 64-bit seed through
@@ -15,6 +15,7 @@ bit-reproducible across runs and platforms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 import numpy.typing as npt
@@ -27,7 +28,6 @@ from .model import (
     PriceDomain,
     ValidationIssue,
     data_issues,
-    instance_to_json,
     min_eigenvalue,
 )
 
@@ -43,107 +43,61 @@ class GenerationFailed(RuntimeError):
 
 @dataclass(frozen=True)
 class GenConfig:
-    """Generator settings; ranges mirror the benchmark protocol defaults."""
+    """Generator settings; the draw protocol itself is fixed (class constants)."""
 
     n: int
     m: int
     domain_kind: str = "orthant"
     seed: int = 0
-    factor_range: tuple[float, float] = (-10.0, 10.0)
-    constraint_range: tuple[float, float] = (0.0, 20.0)
-    p0_range: tuple[float, float] = (0.0, 100.0)
-    utility_range: tuple[float, float] = (0.0, 10.0)
-    box_range: tuple[float, float] = (0.0, 100.0)
-    floor_fraction: float = 0.9
-    min_factor_eig: float = 2.0
     eta: float | None = None
+
+    factor_range: ClassVar[tuple[float, float]] = (-10.0, 10.0)
+    constraint_range: ClassVar[tuple[float, float]] = (0.0, 20.0)
+    p0_range: ClassVar[tuple[float, float]] = (0.0, 100.0)
+    utility_range: ClassVar[tuple[float, float]] = (0.0, 10.0)
+    box_range: ClassVar[tuple[float, float]] = (0.0, 100.0)
+    floor_fraction: ClassVar[float] = 0.9
+    min_factor_eig: ClassVar[float] = 2.0
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.m < 1:
             raise ValueError("n and m must be at least 1")
-        for name in ("factor_range", "constraint_range", "p0_range", "utility_range", "box_range"):
-            lo, hi = getattr(self, name)
-            if not lo < hi:
-                raise ValueError(f"{name} lower bound must be below upper bound")
-        if not 0.0 < self.floor_fraction < 1.0:
-            raise ValueError("floor_fraction must lie in (0, 1)")
+        if self.domain_kind not in ("orthant", "box"):
+            raise ValueError(f"domain_kind {self.domain_kind!r} is not 'orthant' or 'box'")
 
 
 @dataclass(frozen=True)
 class GeneratedInstance:
-    """A valid instance plus provenance for the emitted JSON."""
+    """A valid instance plus its draw counts."""
 
     instance: ModelInstance
-    config: GenConfig
     redraws: dict[str, int] = field(default_factory=dict)
     max_utility: float = 0.0
     attempts: int = 1
 
-    def gen_block(self) -> dict:
-        cfg = self.config
-        return {
-            "seed": cfg.seed,
-            "rng": "numpy PCG64, one spawned stream per component "
-            + "/".join(_STREAMS),
-            "ranges": {
-                "factor": list(cfg.factor_range),
-                "constraint": list(cfg.constraint_range),
-                "p0": list(cfg.p0_range),
-                "utility": list(cfg.utility_range),
-                "box": list(cfg.box_range),
-            },
-            "floor_fraction": cfg.floor_fraction,
-            "max_utility": self.max_utility,
-            "min_factor_eig": cfg.min_factor_eig,
-            "redraws": dict(self.redraws),
-            "attempts": self.attempts,
-            "eta_rule": "mu_F" if cfg.eta is None else "explicit",
-        }
 
-    def json_doc(self) -> dict:
-        return instance_to_json(self.instance, gen=self.gen_block())
+def pd_from_factor(n: int, rng: np.random.Generator) -> tuple[FloatArray, int]:
+    """``(F'F, number of rejected draws)`` from uniform random factors F.
 
-
-def pd_from_factor(
-    n: int,
-    rng: np.random.Generator,
-    low: float = -10.0,
-    high: float = 10.0,
-    min_eig: float = 2.0,
-    max_redraws: int = 500,
-) -> FloatArray:
-    """Symmetric positive definite F'F from a uniform random factor F.
-
-    Redraws the factor while the product's smallest eigenvalue is below
-    ``min_eig``; near-singular products make the admissible map step
-    minuscule and the solver's stopping dynamics degenerate.
+    Redraws the factor, one ``rng.uniform`` call per draw and at most 500
+    draws, while the product's smallest eigenvalue is below the floor
+    ``GenConfig.min_factor_eig``; near-singular products make the
+    admissible map step minuscule and the solver's stopping dynamics
+    degenerate.  A shifted Cholesky screens each draw (``_below_floor``)
+    and only the draws it passes get the eigenvalue test, which decides
+    every accept.  The screen never rejects a draw the eigenvalue test
+    accepts, so the instances are identical to testing every draw's
+    eigenvalues.
     """
-    mat, _ = _pd_with_redraws(n, rng, low, high, min_eig, max_redraws)
-    return mat
-
-
-def _pd_with_redraws(
-    n: int,
-    rng: np.random.Generator,
-    low: float,
-    high: float,
-    min_eig: float,
-    max_redraws: int,
-) -> tuple[FloatArray, int]:
-    """``(F'F, number of rejected draws)``, one ``rng.uniform`` call per draw.
-
-    A shifted Cholesky screens each draw (``_below_floor``) and only the
-    draws it passes get the eigenvalue test, which decides every accept.
-    The screen never rejects a draw the eigenvalue test accepts, so the
-    instances are identical to testing every draw's eigenvalues.
-    """
-    for redraw in range(max_redraws):
+    low, high = GenConfig.factor_range
+    min_eig = GenConfig.min_factor_eig
+    for redraw in range(500):
         factor = rng.uniform(low, high, size=(n, n))
         product = factor.T @ factor
         product = 0.5 * (product + product.T)
         if not _below_floor(product, min_eig) and min_eigenvalue(product) >= min_eig:
             return product, redraw
-    raise GenerationFailed(f"no factor with eigenvalue floor {min_eig:g} in {max_redraws} draws")
+    raise GenerationFailed(f"no factor with eigenvalue floor {min_eig:g} in 500 draws")
 
 
 def _below_floor(product: FloatArray, min_eig: float) -> bool:
@@ -187,32 +141,27 @@ def generate(config: GenConfig) -> GeneratedInstance:
         streams = root.spawn(len(_STREAMS))
         rngs = {name: np.random.default_rng(s) for name, s in zip(_STREAMS, streams)}
         redraws: dict[str, int] = {}
-        lo, hi = config.factor_range
         try:
-            C, redraws["C"] = _pd_with_redraws(
-                config.n, rngs["C"], lo, hi, config.min_factor_eig, 500
-            )
-            B, redraws["B"] = _pd_with_redraws(
-                config.n, rngs["B"], lo, hi, config.min_factor_eig, 500
-            )
+            C, redraws["C"] = pd_from_factor(config.n, rngs["C"])
+            B, redraws["B"] = pd_from_factor(config.n, rngs["B"])
         except GenerationFailed:
             # Rare at large n with a high eigenvalue floor; spend another
             # attempt (fresh streams) rather than giving up.
             last_report = [ValidationIssue("FactorRedrawsExhausted", "eigenvalue floor missed")]
             continue
-        clo, chi = config.constraint_range
+        clo, chi = GenConfig.constraint_range
         A = rngs["A"].uniform(clo, chi, size=(config.m, config.n))
         b = rngs["b"].uniform(clo, chi, size=config.m)
-        ulo, uhi = config.utility_range
+        ulo, uhi = GenConfig.utility_range
         # Half-open draw flipped to (lo, hi] so weights are strictly positive.
         l = uhi - rngs["l"].uniform(0.0, uhi - ulo, size=config.n)
-        plo, phi = config.p0_range
+        plo, phi = GenConfig.p0_range
         p0 = rngs["p0"].uniform(plo, phi, size=config.n)
 
         utility_cap = max_utility(l, A, b)
-        floor = config.floor_fraction * utility_cap
+        floor = GenConfig.floor_fraction * utility_cap
         if config.domain_kind == "box":
-            blo, bhi = config.box_range
+            blo, bhi = GenConfig.box_range
             domain = PriceDomain.box(np.full(config.n, blo), np.full(config.n, bhi))
         else:
             domain = PriceDomain.orthant()
@@ -227,7 +176,6 @@ def generate(config: GenConfig) -> GeneratedInstance:
         if not report:
             return GeneratedInstance(
                 instance=instance,
-                config=config,
                 redraws=redraws,
                 max_utility=utility_cap,
                 attempts=attempt,

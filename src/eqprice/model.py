@@ -73,9 +73,9 @@ class PriceDomain:
         if lo.shape != hi.shape:
             raise ValueError("box bounds have mismatched lengths")
         if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-            raise ValueError("box bounds must be finite")
+            raise ValueError("box bounds 'lower' and 'upper' must be finite")
         if np.any(lo > hi):
-            raise ValueError("box lower bound exceeds upper bound")
+            raise ValueError("box bound 'lower' exceeds 'upper'")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
@@ -340,8 +340,7 @@ def validate_instance(instance: ModelInstance) -> list[ValidationIssue]:
 # ---------------------------------------------------------------------------
 # Instance JSON schema.  Top-level keys: n, m, C, B, l, M, A, b, domain, p0.
 # Matrices are row-major arrays of arrays; all numbers IEEE doubles.  The
-# optional keys "eta" (step override) and "gen" (generator metadata) are
-# honored and ignored respectively.
+# optional key "eta" (step override) is honored; unknown keys are ignored.
 # ---------------------------------------------------------------------------
 
 _REQUIRED_KEYS = ("n", "m", "C", "B", "l", "M", "A", "b", "domain", "p0")
@@ -357,11 +356,20 @@ def instance_from_json(doc: dict) -> ModelInstance:
     for key in _REQUIRED_KEYS:
         if key not in doc:
             raise InstanceFormatError(f"missing required key '{key}'")
-    try:
-        n = int(doc["n"])
-        m = int(doc["m"])
-    except (TypeError, ValueError) as exc:
-        raise InstanceFormatError(f"keys 'n'/'m' must be integers: {exc}") from exc
+
+    def number(key: str) -> float:
+        try:
+            return float(doc[key])
+        except (TypeError, ValueError) as exc:
+            raise InstanceFormatError(f"key '{key}' is not a number: {exc}") from exc
+
+    def count(key: str) -> int:
+        value = number(key)
+        if not (value.is_integer() and value >= 0):
+            raise InstanceFormatError(
+                f"key '{key}' must be a nonnegative integer, got {doc[key]!r}"
+            )
+        return int(value)
 
     def matrix(key: str, rows: int, cols: int) -> FloatArray:
         try:
@@ -374,51 +382,42 @@ def instance_from_json(doc: dict) -> ModelInstance:
             raise InstanceFormatError(f"key '{key}' must be {rows}x{cols}, got {arr.shape}")
         return arr
 
-    def vector(key: str, length: int) -> FloatArray:
+    def vector(key: str, length: int, source: dict = doc) -> FloatArray:
         try:
-            arr = np.asarray(doc[key], dtype=float).reshape(-1)
+            arr = np.asarray(source[key], dtype=float).reshape(-1)
         except (TypeError, ValueError) as exc:
             raise InstanceFormatError(f"key '{key}' is not numeric: {exc}") from exc
         if arr.shape[0] != length:
             raise InstanceFormatError(f"key '{key}' must have length {length}")
         return arr
 
+    n, m = count("n"), count("m")
     dom = doc["domain"]
     if not isinstance(dom, dict) or "kind" not in dom:
         raise InstanceFormatError("key 'domain' must be an object with a 'kind'")
-    if dom["kind"] == ORTHANT:
-        domain = PriceDomain.orthant()
-    elif dom["kind"] == BOX:
-        for k in ("lower", "upper"):
-            if k not in dom:
-                raise InstanceFormatError(f"box domain requires key '{k}'")
-        domain = PriceDomain.box(vector_from(dom["lower"], n), vector_from(dom["upper"], n))
-    else:
-        raise InstanceFormatError(f"domain kind {dom['kind']!r} is not 'orthant' or 'box'")
-
-    eta = doc.get("eta")
     try:
+        if dom["kind"] == ORTHANT:
+            domain = PriceDomain.orthant()
+        elif dom["kind"] == BOX:
+            for k in ("lower", "upper"):
+                if k not in dom:
+                    raise InstanceFormatError(f"box domain requires key '{k}'")
+            domain = PriceDomain.box(vector("lower", n, dom), vector("upper", n, dom))
+        else:
+            raise InstanceFormatError(f"domain kind {dom['kind']!r} is not 'orthant' or 'box'")
         costs = AgentCosts(
-            C=matrix("C", n, n), B=matrix("B", n, n), l=vector("l", n), M=float(doc["M"])
+            C=matrix("C", n, n), B=matrix("B", n, n), l=vector("l", n), M=number("M")
         )
         feasible = FeasibleSet(A=matrix("A", m, n), b=vector("b", m))
-        return ModelInstance.build(
-            costs, feasible, domain, vector("p0", n), eta=None if eta is None else float(eta)
-        )
+        eta = None if doc.get("eta") is None else number("eta")
+        return ModelInstance.build(costs, feasible, domain, vector("p0", n), eta=eta)
     except InstanceFormatError:
         raise
-    except (ValueError, NotPositiveDefinite) as exc:
+    except (TypeError, ValueError, NotPositiveDefinite) as exc:
         raise InstanceFormatError(str(exc)) from exc
 
 
-def vector_from(values, n: int) -> FloatArray:
-    arr = np.asarray(values, dtype=float).reshape(-1)
-    if arr.shape[0] != n:
-        raise InstanceFormatError(f"domain bounds must have length {n}")
-    return arr
-
-
-def instance_to_json(instance: ModelInstance, gen: dict | None = None) -> dict:
+def instance_to_json(instance: ModelInstance) -> dict:
     if instance.domain.kind == ORTHANT:
         dom: dict = {"kind": ORTHANT}
     else:
@@ -427,7 +426,7 @@ def instance_to_json(instance: ModelInstance, gen: dict | None = None) -> dict:
             "lower": instance.domain.lower.tolist(),
             "upper": instance.domain.upper.tolist(),
         }
-    doc = {
+    return {
         "n": instance.n,
         "m": instance.m,
         "C": instance.costs.C.tolist(),
@@ -440,9 +439,6 @@ def instance_to_json(instance: ModelInstance, gen: dict | None = None) -> dict:
         "p0": instance.p0.tolist(),
         "eta": instance.constants.eta,
     }
-    if gen is not None:
-        doc["gen"] = gen
-    return doc
 
 
 def load_instance(path) -> ModelInstance:
@@ -453,5 +449,5 @@ def load_instance(path) -> ModelInstance:
     return instance_from_json(doc)
 
 
-def save_instance(path, instance: ModelInstance, gen: dict | None = None) -> None:
-    Path(path).write_text(json.dumps(instance_to_json(instance, gen=gen), indent=2) + "\n")
+def save_instance(path, instance: ModelInstance) -> None:
+    Path(path).write_text(json.dumps(instance_to_json(instance), indent=2) + "\n")

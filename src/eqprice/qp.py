@@ -143,7 +143,6 @@ def solve_qp(
     tol: float = DEFAULT_TOL,
     max_iter: int | None = None,
     start: FloatArray | None = None,
-    working_set: tuple[int, ...] | None = None,
 ) -> QpSolution:
     """Minimize ``x'Qx + q'x`` over the problem's polyhedron.
 
@@ -159,8 +158,6 @@ def solve_qp(
         Feasible warm start.  When omitted (or infeasible) a phase-1
         linear program supplies one, and an infeasibility certificate is
         returned if none exists.
-    working_set : tuple of int, optional
-        Initial guess of the binding row indices (best effort).
 
     Returns
     -------
@@ -187,7 +184,7 @@ def solve_qp(
             )
         x0 = phase1.x
     H = problem.Q + problem.Q.T  # 2Q, symmetrized
-    return solve_prepared(H, problem.q, G, h, x0, working_set, max_iter, tol)
+    return solve_prepared(H, problem.q, G, h, x0, max_iter=max_iter, tol=tol)
 
 
 def solve_prepared(

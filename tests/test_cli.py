@@ -57,6 +57,17 @@ class TestSolveCommand:
         assert code == 1
         assert "'C'" in capsys.readouterr().err
 
+    def test_null_floor_fails_cleanly(self, tmp_path, capsys):
+        doc = instance_to_json(make_combined_1d())
+        doc["M"] = None
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["solve", str(bad)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: key 'M' is not a number")
+
     def test_invalid_json_fails_cleanly(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

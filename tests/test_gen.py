@@ -1,6 +1,7 @@
-"""Seeded instance generation: determinism, validity, documented defaults."""
+"""Seeded instance generation: determinism, validity, the fixed draw protocol."""
 
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from eqprice import gen
 from eqprice.cli import trial_seed
 from eqprice.gen import GenConfig, generate, max_utility, pd_from_factor, random_instance
 from eqprice.model import min_eigenvalue, validate_instance
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 class _FixedFactorRng:
@@ -22,25 +25,28 @@ class _FixedFactorRng:
 
 
 class TestPdFromFactor:
+    # The eigenvalue floor is GenConfig.min_factor_eig = 2.
     def test_scalar_product(self):
-        out = pd_from_factor(1, _FixedFactorRng([[2.0]]), min_eig=0.5)
+        out, rejected = pd_from_factor(1, _FixedFactorRng([[2.0]]))
         np.testing.assert_array_equal(out, [[4.0]])
+        assert rejected == 0
 
     def test_identity_factor(self):
-        out = pd_from_factor(2, _FixedFactorRng(np.eye(2)), min_eig=0.5)
-        np.testing.assert_array_equal(out, np.eye(2))
+        # The identity factor scaled by 2, so that F'F reaches the floor.
+        out, rejected = pd_from_factor(2, _FixedFactorRng(2.0 * np.eye(2)))
+        np.testing.assert_array_equal(out, 4.0 * np.eye(2))
+        assert rejected == 0
 
     def test_redraw_below_floor(self):
-        # First factor is singular; the second is accepted.
-        out = pd_from_factor(
-            2, _FixedFactorRng([[1.0, 1.0], [1.0, 1.0]], np.eye(2) * 2.0), min_eig=0.5
-        )
-        np.testing.assert_array_equal(out, np.eye(2) * 4.0)
+        # The identity factor gives F'F = I, below the floor; 2 I is accepted.
+        out, rejected = pd_from_factor(2, _FixedFactorRng(np.eye(2), 2.0 * np.eye(2)))
+        np.testing.assert_array_equal(out, 4.0 * np.eye(2))
+        assert rejected == 1
 
     def test_output_symmetric_positive_definite(self, rng):
         for _ in range(25):
             n = int(rng.integers(1, 7))
-            out = pd_from_factor(n, rng)
+            out, _ = pd_from_factor(n, rng)
             assert np.max(np.abs(out - out.T)) <= 1e-12
             assert min_eigenvalue(out) >= 2.0
 
@@ -91,23 +97,45 @@ class TestRandomInstance:
             assert inst.constants.mu_F > 0.0
             assert np.all(inst.feasible.A > 0.0)
 
-    def test_gen_block_documents_choices(self):
-        g = generate(GenConfig(n=3, m=2, seed=5))
-        block = g.gen_block()
-        assert block["seed"] == 5
-        assert block["floor_fraction"] == 0.9
-        assert "redraws" in block and set(block["redraws"]) == {"C", "B"}
-        assert block["eta_rule"] == "mu_F"
-        doc = g.json_doc()
-        assert doc["gen"] == block
-
     def test_config_rejects_bad_ranges(self):
         with pytest.raises(ValueError):
-            GenConfig(n=2, m=1, factor_range=(3.0, 3.0))
-        with pytest.raises(ValueError):
             GenConfig(n=0, m=1)
-        with pytest.raises(ValueError):
-            GenConfig(n=2, m=1, floor_fraction=1.5)
+
+    @pytest.mark.parametrize("kind", ["Box", "simplex", ""])
+    def test_config_rejects_unknown_domain_kind(self, kind):
+        with pytest.raises(ValueError, match="domain_kind"):
+            GenConfig(n=3, m=2, domain_kind=kind)
+
+
+class TestFixedProtocol:
+    """The draw protocol is fixed: the README lists the GenConfig constants."""
+
+    @staticmethod
+    def _readme_protocol() -> str:
+        text = README.read_text()
+        start = text.index("## Benchmark protocol")
+        return text[start : text.index("\n## ", start + 1)]
+
+    def test_constants_match_readme(self):
+        section = self._readme_protocol()
+        assert GenConfig.factor_range == (-10.0, 10.0)
+        assert "cost factors uniform in `[-10, 10]`" in section
+        assert GenConfig.min_factor_eig == 2.0
+        assert "eigenvalue of `F'F` reaches 2.0" in section
+        assert GenConfig.constraint_range == (0.0, 20.0)
+        assert "`A`, `b` entries uniform in `(0, 20)`" in section
+        assert GenConfig.p0_range == (0.0, 100.0)
+        assert "`p0` uniform in `[0, 100]`" in section
+        assert GenConfig.utility_range == (0.0, 10.0)
+        assert "`l` uniform in `(0, 10]`" in section
+        assert GenConfig.floor_fraction == 0.9
+        assert "floor `M` at 0.9 of the" in section
+        assert GenConfig.box_range == (0.0, 100.0)
+        assert "box domain `[0, 100]^n`" in section
+
+    def test_protocol_values_are_not_settable(self):
+        with pytest.raises(TypeError):
+            GenConfig(n=3, m=2, p0_range=(0, 1))
 
 
 def _generated_digest(g) -> str:
@@ -153,23 +181,6 @@ class TestGeneratedBits:
             mu_f = generate(GenConfig(n=5, m=3, seed=seed)).instance.constants.mu_F
             attempts.append(generate(GenConfig(n=5, m=3, seed=seed, eta=1.05 * 2.0 * mu_f)).attempts)
         assert attempts == [5, 2, 6, 2, 67, 5]
-
-    def test_out_of_range_draws_are_redrawn(self):
-        # Ranges wider than the defaults can draw p0 outside the domain or
-        # a negative entry of b; such attempts are retried, not returned.
-        wide = [generate(GenConfig(n=3, m=2, seed=s, p0_range=(-100.0, 100.0))) for s in range(4)]
-        narrow_box = [
-            generate(GenConfig(n=3, m=2, seed=s, domain_kind="box", box_range=(0.0, 50.0)))
-            for s in range(4)
-        ]
-        signed_b = [
-            generate(GenConfig(n=3, m=2, seed=s, constraint_range=(-5.0, 20.0))) for s in (8, 13, 31)
-        ]
-        assert [g.attempts for g in wide] == [7, 3, 6, 18]
-        assert [g.attempts for g in narrow_box] == [9, 1, 39, 5]
-        assert [g.attempts for g in signed_b] == [2, 2, 2]
-        for g in wide + narrow_box + signed_b:
-            assert validate_instance(g.instance) == []
 
     def test_exhausted_attempts_keep_last_report(self):
         # An eta no draw can admit fails all 100 attempts on the eta check.

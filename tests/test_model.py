@@ -197,8 +197,46 @@ class TestJsonSchema:
             instance_from_json(doc)
 
     def test_gen_block_is_tolerated(self, combined_1d):
-        doc = instance_to_json(combined_1d, gen={"seed": 1})
+        doc = instance_to_json(combined_1d)
+        doc["gen"] = {"seed": 1}
         assert instance_from_json(doc).n == combined_1d.n
+
+    @pytest.mark.parametrize(
+        "edit, key",
+        [
+            ({"M": None}, "'M'"),
+            ({"M": [2.0]}, "'M'"),
+            ({"M": {"value": 2.0}}, "'M'"),
+            ({"domain": {"kind": "box", "lower": ["a"], "upper": [50.0]}}, "'lower'"),
+            ({"domain": {"kind": "box", "lower": [0.0], "upper": [float("nan")]}}, "'upper'"),
+            ({"domain": {"kind": "box", "lower": [None], "upper": [50.0]}}, "'lower'"),
+            ({"domain": {"kind": "box", "lower": None, "upper": [50.0]}}, "'lower'"),
+            ({"domain": {"kind": "box", "lower": [60.0], "upper": [50.0]}}, "'lower'"),
+            ({"n": 1.5}, "'n'"),
+            ({"n": -1}, "'n'"),
+            ({"m": 0.5}, "'m'"),
+            ({"eta": [1.0]}, "'eta'"),
+        ],
+        ids=[
+            "M-null",
+            "M-list",
+            "M-object",
+            "lower-text",
+            "upper-nan",
+            "lower-null-entry",
+            "lower-null",
+            "lower-above-upper",
+            "n-fraction",
+            "n-negative",
+            "m-fraction",
+            "eta-list",
+        ],
+    )
+    def test_malformed_value_is_named(self, combined_1d, edit, key):
+        doc = instance_to_json(combined_1d)
+        doc.update(edit)
+        with pytest.raises(InstanceFormatError, match=key):
+            instance_from_json(doc)
 
     def test_dimension_mismatch_raises_at_build(self):
         with pytest.raises(ValueError):
