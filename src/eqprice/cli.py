@@ -207,7 +207,7 @@ def run_bench(
                 max_iter,
                 trial_eta,
                 weight,
-                10,
+                10,  # trace_every: bench samples the VI residual every 10th iteration
                 start=np.zeros(n),
             )
             times.append(report.wall_time)
@@ -299,17 +299,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"eqprice {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, auto_eta: str) -> None:
         p.add_argument("--eps", type=float, default=1e-4, help="stopping threshold on the step residual")
         p.add_argument("--max-iter", type=int, default=10_000, dest="max_iter")
         p.add_argument(
             "--eta",
             type=_parse_eta,
             default=None,
-            help="projection-map step; 'auto' (default) uses the derived mu_F",
+            help=f"projection-map step; 'auto' (default) uses {auto_eta}",
         )
         p.add_argument("--schedule", default="sqrt", help="step schedule name (sqrt)")
         p.add_argument("--weight", type=float, default=1.0, help="anchor objective weight")
+
+    def one_solve(p: argparse.ArgumentParser) -> None:
+        """Options of the single-instance commands, solve and trace."""
+        common(p, "the derived mu_F")
         p.add_argument(
             "--trace-every",
             type=int,
@@ -322,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("instance", help="instance JSON path")
     p_solve.add_argument("--out", help="write the report JSON here instead of stdout")
     p_solve.add_argument("--trace", help="also write the iteration trace CSV here")
-    common(p_solve)
+    one_solve(p_solve)
     p_solve.set_defaults(func=cmd_solve)
 
     p_bench = sub.add_parser("bench", help="benchmark sweep over generated instances")
@@ -332,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--domain", choices=("orthant", "box"), default="orthant")
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--csv", help="write one aggregated row per size here")
-    common(p_bench)
+    common(p_bench, "2*mu_F, the top of the admissible range")
     # Bench protocol: weaker anchor pull and the top of the admissible map
     # step (see run_bench); --weight/--eta still override.
     p_bench.set_defaults(func=cmd_bench, weight=0.25)
@@ -340,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace = sub.add_parser("trace", help="solve and dump the per-iteration trace")
     p_trace.add_argument("instance", help="instance JSON path")
     p_trace.add_argument("--csv", required=True, help="trace CSV path")
-    common(p_trace)
+    one_solve(p_trace)
     p_trace.set_defaults(func=cmd_solve)
     return parser
 

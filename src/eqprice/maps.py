@@ -32,7 +32,7 @@ from .model import ModelInstance
 FloatArray = npt.NDArray[np.float64]
 
 CERTIFY_TOL = 1e-8
-_max, _min = np.maximum.reduce, np.minimum.reduce  # ndarray.max/min minus the wrapper
+_max, _min = qp._max, qp._min
 
 
 class InnerSolveFailed(RuntimeError):
@@ -142,28 +142,31 @@ class _InnerMap:
         KKT residual ``max(viol, stat)`` within ``CERTIFY_TOL * s`` with
         ``s = 1 + max|c| + max|Hx|``.  That is the scale on which an optimal
         active-set solve meets ``qp.DEFAULT_TOL``, so either way the point
-        returned is certified to ``CERTIFY_TOL``.
+        returned is certified to ``CERTIFY_TOL``.  Each test is written so
+        that NaN fails it, as a non-finite price can make the piece NaN.
         """
         if self._basis is None:
             return None
         # The bench iteration counts must not drift, so every operation here
-        # keeps its order and operands.  Reductions are the ufunc reductions
-        # that ndarray.max/min wrap and products are .dot (the BLAS call of @),
-        # bit for bit; K_x and K_l stay two products, as one stacked product
-        # rounds differently (np.linalg.norm of 1-D v is sqrt(v.dot(v))).
+        # keeps its order and operands.  Products are .dot (the BLAS call of
+        # @), bit for bit; K_x and K_l stay two products, as one stacked
+        # product rounds differently (np.linalg.norm of 1-D v is
+        # sqrt(v.dot(v))).  _max/_min return the reduced entry itself; they
+        # may differ from np.max/np.min only in the sign of a zero, and each
+        # result here is either taken of abs values or only compared.
         K_x, c_x, K_l, c_l, GwT = self._basis
         x = K_x.dot(neg_c) + c_x
         lam = K_l.dot(neg_c) + c_l
-        if lam.size and float(_min(lam)) < -1e-9:
+        if lam.size and not _min(lam) >= -1e-9:
             return None
-        viol = max(float(_max(self.G.dot(x) - self.h)), 0.0)
-        if viol > 1e-9 * self.hscale:
+        viol = max(_max(self.G.dot(x) - self.h), 0.0)
+        if not viol <= 1e-9 * self.hscale:
             return None
         hx = self.H.dot(x)
         r = hx + c + GwT.dot(lam)
         stat = math.sqrt(r.dot(r))
-        scale = 1.0 + cmax + float(_max(abs(hx)))
-        if max(viol, stat) > CERTIFY_TOL * scale:
+        bound = CERTIFY_TOL * (1.0 + cmax + _max(abs(hx)))
+        if not (viol <= bound and stat <= bound):
             return None
         return x
 
@@ -228,7 +231,7 @@ class ExcessEvaluator:
         p = np.asarray(p, dtype=float).reshape(-1)
         if p.shape[0] != self.instance.n:
             raise ValueError(f"price vector has length {p.shape[0]}, expected {self.instance.n}")
-        pmax = float(_max(abs(p)))
+        pmax = _max(abs(p))
         if not math.isfinite(pmax):
             raise ValueError("price vector has non-finite entries")
         return p, pmax

@@ -14,6 +14,7 @@ candidate point, whatever produced it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -27,7 +28,18 @@ DEFAULT_TOL = 1e-9
 # Relaxation applied to the right-hand side of rows in a degenerate
 # (linearly dependent) working set before re-solving.
 DEGENERACY_BUMP = 1e-12
-_max, _min = np.maximum.reduce, np.minimum.reduce  # ndarray.max/min minus the wrapper
+
+
+# Largest and smallest entry of a nonempty float array, as a Python float.
+# The value is one of the entries, so it is exact, and argmax/argmin stop at
+# the first NaN, so NaN propagates as through np.maximum.reduce.  A tie of
+# -0.0 with +0.0 may return either; callers take abs first or only compare.
+def _max(a: FloatArray) -> float:
+    return a.item(a.argmax())
+
+
+def _min(a: FloatArray) -> float:
+    return a.item(a.argmin())
 
 
 class QpStatus(str, Enum):
@@ -230,12 +242,28 @@ def _active_set(
     working_set: tuple[int, ...] | None,
     max_iter: int,
 ) -> tuple[FloatArray, FloatArray, list[int], int, bool]:
-    """Primal active-set loop.  Returns (x, multipliers, set, iters, ok)."""
+    """Primal active-set loop.  Returns (x, multipliers, set, iters, ok).
+
+    The KKT matrix ``[[H, Gw'], [Gw, 0]]`` of the working set lives in one
+    buffer, written in place as rows join and leave: the step solves on its
+    leading ``n + w`` block, ``rhs`` holds ``[-grad; 0]`` and ``free`` marks
+    the rows outside the working set.
+    """
     n = H.shape[0]
     h = h0.copy()
     hs = 1.0 + _hscale(h)
     x = x0.copy()
     wset = _initial_working_set(G, h, x, working_set, n)
+    size = n + G.shape[0]  # a working set never holds a row twice
+    kkt = np.zeros((size, size))
+    kkt[:n, :n] = H
+    if wset:
+        Gw = G[wset]
+        kkt[n : n + len(wset), :n] = Gw
+        kkt[:n, n : n + len(wset)] = Gw.T
+    rhs = np.zeros(size)
+    free = np.ones(G.shape[0], dtype=bool)
+    free[wset] = False
     lam = np.zeros(0)
     bump = DEGENERACY_BUMP
     bump_rounds = 0
@@ -243,8 +271,10 @@ def _active_set(
     while it < max_iter:
         it += 1
         grad = H.dot(x) + c
-        grad_scale = float(_max(abs(grad)))
-        sol = _kkt_step(H, G, grad, grad_scale, wset)
+        grad_scale = _max(abs(grad))
+        m = n + len(wset)
+        np.negative(grad, out=rhs[:n])
+        sol = _kkt_step(kkt[:m, :m], rhs[:m], n, grad_scale)
         if sol is None:
             # Linearly dependent working set: relax the offending rows a
             # hair and restart from the current (still feasible) point.
@@ -255,38 +285,42 @@ def _active_set(
                 h[i] = h[i] + bump * (1.0 + abs(h[i]))
             bump = min(bump * 10.0, 1e-8)
             wset = []
+            free[:] = True
             continue
         d, lam = sol
-        at_optimum = float(_max(abs(d))) <= 1e-12 * (1.0 + float(_max(abs(x))))
+        at_optimum = _max(abs(d)) <= 1e-12 * (1.0 + _max(abs(x)))
         if not at_optimum:
             # Ratio test over rows not in the working set.
             Gd = G.dot(d)
-            eligible = Gd > 1e-13 * hs
-            if wset:
-                eligible[wset] = False
+            rows = np.flatnonzero((Gd > 1e-13 * hs) & free)
             alpha = 1.0
             blocking = -1
-            if eligible.any():
-                slack = np.maximum(h - G.dot(x), 0.0)
-                ratios = np.full(G.shape[0], np.inf)
-                ratios[eligible] = slack[eligible] / Gd[eligible]
-                i_min = int(ratios.argmin())
-                if ratios[i_min] < alpha:
-                    alpha = float(ratios[i_min])
-                    blocking = i_min
+            if rows.size:
+                ratios = np.maximum((h - G.dot(x))[rows], 0.0) / Gd[rows]
+                k = ratios.argmin()
+                if ratios[k] < alpha:
+                    alpha = ratios.item(k)
+                    blocking = int(rows[k])
             x = x + alpha * d
             if blocking >= 0:
+                kkt[m, :n] = kkt[:n, m] = G[blocking]
                 wset.append(blocking)
+                free[blocking] = False
                 continue
             # Full step: x now minimizes on the working set and ``lam``
             # holds its multipliers, so fall through to the sign test
             # rather than re-deriving a roundoff-sized step next round.
         # Optimal unless some working-set multiplier is clearly negative;
         # otherwise drop the row with the most negative one.
-        if lam.size == 0 or float(_min(lam)) >= -1e-10 * (1.0 + grad_scale):
+        if lam.size == 0:
             return x, lam, wset, it, True
-        drop = wset[int(lam.argmin())]
-        wset = [i for i in wset if i != drop]
+        k = lam.argmin()
+        if lam.item(k) >= -1e-10 * (1.0 + grad_scale):
+            return x, lam, wset, it, True
+        free[wset.pop(k)] = True
+        # Shift the later rows up by one: the working set keeps its order.
+        kkt[n + k : m - 1, :n] = kkt[n + k + 1 : m, :n]
+        kkt[:n, n + k : m - 1] = kkt[:n, n + k + 1 : m]
     return x, lam, wset, it, False
 
 
@@ -311,42 +345,29 @@ def _initial_working_set(
 
 
 def _kkt_step(
-    H: FloatArray,
-    G: FloatArray,
-    grad: FloatArray,
+    kkt: FloatArray,
+    rhs: FloatArray,
+    n: int,
     grad_scale: float,
-    wset: list[int],
 ) -> tuple[FloatArray, FloatArray] | None:
     """Solve the equality-constrained step; None signals a singular system.
 
-    ``grad_scale`` is ``max|grad|``, which equals ``max|rhs|`` of the KKT
-    system since the right-hand side is ``[-grad; 0]``.
+    ``kkt`` is ``[[H, Gw'], [Gw, 0]]`` and ``rhs`` is ``[-grad; 0]``, so
+    ``grad_scale = max|grad|`` equals ``max|rhs|``.
     """
-    n = H.shape[0]
-    w = len(wset)
-    if w == 0:
-        try:
-            d = np.linalg.solve(H, -grad)
-        except np.linalg.LinAlgError:
-            return None
-        return d, np.zeros(0)
-    Gw = G[wset]
-    kkt = np.zeros((n + w, n + w))
-    kkt[:n, :n] = H
-    kkt[:n, n:] = Gw.T
-    kkt[n:, :n] = Gw
-    rhs = np.zeros(n + w)
-    rhs[:n] = -grad
     try:
         sol = np.linalg.solve(kkt, rhs)
     except np.linalg.LinAlgError:
         return None
-    if not np.isfinite(sol).all():
+    if kkt.shape[0] == n:
+        return sol, np.zeros(0)
+    # max|sol| is non-finite exactly when some entry is.
+    sol_scale = _max(abs(sol))
+    if not math.isfinite(sol_scale):
         return None
     # Reject solutions of nearly singular systems that fail to solve.
-    err = float(_max(abs(kkt.dot(sol) - rhs)))
-    scale = 1.0 + grad_scale + float(_max(abs(sol)))
-    if err > 1e-7 * scale:
+    err = _max(abs(kkt.dot(sol) - rhs))
+    if err > 1e-7 * (1.0 + grad_scale + sol_scale):
         return None
     return sol[:n], sol[n:]
 

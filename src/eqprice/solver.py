@@ -219,7 +219,7 @@ def bilevel_solve(
             vi_res = math.sqrt(r.dot(r)) / max(math.sqrt(p.dot(p)), 1.0)
         else:
             vi_res = math.nan
-        rows.append(TraceRow(k, step_residual, vi_res, weight * float(d @ d)))
+        rows.append(TraceRow(k, step_residual, vi_res, weight * float(d.dot(d))))
         if callback is not None:
             callback(IterationState(k=k, p=p, q=q, g=g, Tp=tp, step_residual=step_residual))
 

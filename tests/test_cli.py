@@ -314,3 +314,20 @@ class TestParser:
     def test_unknown_schedule_exits_one(self, saturated_path, capsys):
         assert main(["solve", str(saturated_path), "--schedule", "geometric"]) == 1
         assert "schedule" in capsys.readouterr().err
+
+    def test_bench_rejects_trace_every(self, capsys):
+        # bench samples the VI residual every 10th iteration; --trace-every
+        # belongs to solve and trace only.
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--n", "2", "--m", "1", "--trace-every", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --trace-every 5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, step", [("solve", "the derived mu_F"), ("bench", "2*mu_F")]
+    )
+    def test_eta_help_names_the_automatic_step(self, capsys, command, step):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert f"'auto' (default) uses {step}" in help_text

@@ -14,7 +14,7 @@ from eqprice import maps, qp
 from eqprice.cli import trial_seed
 from eqprice.gen import GenConfig, random_instance
 from eqprice.maps import EtaOutOfRange, ExcessEvaluator, InnerSolveFailed
-from eqprice.model import PriceDomain
+from eqprice.model import AgentCosts, FeasibleSet, ModelInstance, PriceDomain
 from conftest import make_combined_1d, make_saturated_1d
 
 
@@ -252,11 +252,11 @@ class TestEvaluatorCaching:
         assert ev.qp_solves == solves + 1
         np.testing.assert_allclose(ev_45.supply, [2.25], rtol=0, atol=1e-12)
 
-    def test_scattered_prices_are_pinned(self):
-        # Independent prices break the cached basis, so nearly every inner
-        # map runs the active-set solver; any change to its arithmetic or
-        # pivoting shows in the pinned output bits or iteration counts.
-        inst = random_instance(GenConfig(n=30, m=20, seed=trial_seed(42, 30, 20, 0)))
+    @staticmethod
+    def scattered_prices(n: int, m: int) -> tuple[str, tuple[int, int]]:
+        """sha256 of the supply/demand bits at 10 seeded prices, and the
+        evaluator's (qp_solves, inner_iterations)."""
+        inst = random_instance(GenConfig(n=n, m=m, seed=trial_seed(42, n, m, 0)))
         ev = ExcessEvaluator(inst)
         prices = np.random.default_rng(2024).uniform(0.0, 100.0, size=(10, inst.n))
         digest = hashlib.sha256()
@@ -264,10 +264,45 @@ class TestEvaluatorCaching:
             out = ev.evaluate(p)
             digest.update(out.supply.tobytes())
             digest.update(out.demand.tobytes())
-        assert digest.hexdigest() == (
-            "bed4aa0a7d994d75737f07d03b7c5ba44fe8b7cf7f8a1193ba8b737eda6c32e3"
+        return digest.hexdigest(), (ev.qp_solves, ev.inner_iterations)
+
+    def test_scattered_prices_are_pinned(self):
+        # Independent prices break the cached basis, so nearly every inner
+        # map runs the active-set solver; any change to its arithmetic or
+        # pivoting shows in the pinned output bits or iteration counts.
+        assert self.scattered_prices(30, 20) == (
+            "bed4aa0a7d994d75737f07d03b7c5ba44fe8b7cf7f8a1193ba8b737eda6c32e3",
+            (19, 138),
         )
-        assert (ev.qp_solves, ev.inner_iterations) == (19, 138)
+
+    def test_scattered_prices_are_pinned_at_50_30(self):
+        # As above at the benchmark's scatter size: KKT systems reach 100
+        # rows and working-set rows are dropped often, so the in-place add
+        # and drop of KKT rows is pinned bit for bit.
+        assert self.scattered_prices(50, 30) == (
+            "f459baa61bfeb145af3453b1d4959a0523f455db9adc17beef1a7770f06494c1",
+            (13, 120),
+        )
+
+    def test_non_finite_piece_is_not_certified(self):
+        # At p = 1e308 the cached interior supply piece is x = 5p = inf, and
+        # the -e_j rows give 0 * inf = NaN.  The certificate must reject it,
+        # so a warm evaluator fails like a cold one instead of returning inf.
+        inst = ModelInstance.build(
+            AgentCosts(C=0.1 * np.eye(2), B=np.eye(2), l=[1.0, 1.0], M=1.0),
+            FeasibleSet(A=[[1.0, 1.0]], b=[10.0]),
+            PriceDomain.orthant(),
+            [0.0, 0.0],
+        )
+        huge = [1e308, 1e308]
+        warm = ExcessEvaluator(inst)
+        warm.supply([0.5, 0.5])
+        with np.errstate(all="ignore"):
+            with pytest.raises(InnerSolveFailed):
+                ExcessEvaluator(inst).supply(huge)
+            with pytest.raises(InnerSolveFailed):
+                warm.supply(huge)
+        assert warm.fast_hits == 0
 
     @pytest.mark.xfail(
         strict=True,

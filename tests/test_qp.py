@@ -185,3 +185,32 @@ class TestPerturbationPolicy:
         assert any(step is None for step in steps)
         assert sol.status is QpStatus.OPTIMAL
         np.testing.assert_allclose(sol.x, [1.0, 1.0], atol=1e-7)
+
+
+class TestReductions:
+    def test_max_min_match_the_ufunc_reductions(self):
+        rng = np.random.default_rng(5)
+        for size in (1, 5, 30, 81):
+            for _ in range(20):
+                a = rng.normal(size=size)
+                a[rng.random(size) < 0.1] = np.inf
+                a[rng.random(size) < 0.1] = -np.inf
+                assert qp_module._max(a) == np.maximum.reduce(a)
+                assert qp_module._min(a) == np.minimum.reduce(a)
+                assert type(qp_module._max(a)) is float
+
+    def test_nan_propagates(self):
+        rng = np.random.default_rng(6)
+        for size in (1, 5, 30):
+            for _ in range(20):
+                a = rng.normal(size=size)
+                a[rng.random(size) < 0.1] = np.inf
+                a[rng.random(size) < 0.1] = -np.inf
+                a[rng.integers(size)] = np.nan
+                assert np.isnan(qp_module._max(a))
+                assert np.isnan(qp_module._min(a))
+
+    def test_empty_raises_like_the_ufunc(self):
+        for reduce in (qp_module._max, qp_module._min, np.maximum.reduce, np.minimum.reduce):
+            with pytest.raises(ValueError):
+                reduce(np.zeros(0))
