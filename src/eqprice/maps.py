@@ -81,7 +81,7 @@ class _InnerMap:
     ``floor`` optionally adds the utility floor ``l'x >= M``.  Keeps the
     constraint rows, the last solution (feasible for every p; before the
     first solve a cold start, zero when feasible, else a phase-1 point) and
-    the inverted KKT matrix of the last optimal basis.  While that basis
+    the inverse of the last optimal solve's KKT matrix.  While that basis
     stays optimal, a new price costs a few small matrix-vector products
     plus one certificate check.  The linear term is ``c = -p`` for supply
     and ``c = p`` for demand.
@@ -100,7 +100,6 @@ class _InnerMap:
         self.H = Q + Q.T
         self.A, self.b, self.floor = A, b, floor
         self.G, self.h = qp.inequality_rows(A, b, floor, True, n)
-        self.max_iter: int | None = None  # None: the active-set solver's default cap
         self.hscale = 1.0 + float(np.max(np.abs(self.h), initial=0.0))
         zero = np.zeros(n)
         self.last_x: FloatArray | None = (
@@ -112,27 +111,23 @@ class _InnerMap:
         self.fast_hits = 0
         self.iterations = 0
 
-    def _refresh_basis(self, wset: tuple[int, ...]) -> None:
+    def _refresh_basis(self, sol: qp.QpSolution) -> None:
+        # inv copies sol.kkt to Fortran order, the bytes of a fresh matrix.  A
+        # view of it as G_w_T would have strides that take another BLAS kernel.
         n = self.H.shape[0]
-        w = len(wset)
-        idx = list(wset)
-        kkt = np.zeros((n + w, n + w))
-        kkt[:n, :n] = self.H
-        if w:
-            kkt[:n, n:] = self.G[idx].T
-            kkt[n:, :n] = self.G[idx]
         try:
-            inv = np.linalg.inv(kkt)
+            inv = np.linalg.inv(sol.kkt)
         except np.linalg.LinAlgError:
             self._basis = None
             return
-        hw = self.h[idx] if w else np.zeros(0)
+        idx = list(sol.working_set)
+        hw = self.h[idx]
         self._basis = (
             inv[:n, :n],
-            inv[:n, n:] @ hw if w else np.zeros(n),
+            inv[:n, n:] @ hw,
             inv[n:, :n],
-            inv[n:, n:] @ hw if w else np.zeros(0),
-            self.G[idx].T if w else np.zeros((n, 0)),
+            inv[n:, n:] @ hw,
+            self.G[idx].T,
         )
 
     def _try_basis(self, c: FloatArray, neg_c: FloatArray, cmax: float) -> FloatArray | None:
@@ -194,17 +189,18 @@ class _InnerMap:
             self.h,
             self.last_x,
             working_set=self.last_wset,
-            max_iter=self.max_iter,
         )
         self.solves += 1
         self.iterations += sol.iterations
+        if sol.status is qp.QpStatus.OVERFLOW:
+            raise InnerSolveFailed(f"the {self.kind} program overflowed at max|p| = {cmax:.3e}")
         if sol.status is not qp.QpStatus.OPTIMAL:
             raise InnerSolveFailed(
                 f"inner program hit iteration limit (residual {sol.kkt_residual:.3e})"
             )
         self.last_x = sol.x
         self.last_wset = sol.working_set
-        self._refresh_basis(sol.working_set)
+        self._refresh_basis(sol)
         return sol.x
 
 

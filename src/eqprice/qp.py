@@ -46,6 +46,7 @@ class QpStatus(str, Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
     ITER_LIMIT = "iter_limit"
+    OVERFLOW = "overflow"
 
 
 @dataclass(frozen=True)
@@ -103,6 +104,7 @@ class QpSolution:
     status: QpStatus
     working_set: tuple[int, ...] = ()
     certificate: FloatArray | None = None
+    kkt: FloatArray | None = None  # read-only [[2Q, Gw'], [Gw, 0]] of working_set
 
 
 @dataclass(frozen=True)
@@ -152,7 +154,6 @@ def problem_rows(problem: QpProblem) -> tuple[FloatArray, FloatArray]:
 
 def solve_qp(
     problem: QpProblem,
-    tol: float = DEFAULT_TOL,
     max_iter: int | None = None,
     start: FloatArray | None = None,
 ) -> QpSolution:
@@ -162,8 +163,6 @@ def solve_qp(
     ----------
     problem : QpProblem
         Problem data; Q must be symmetric positive definite.
-    tol : float
-        Acceptance bound on the KKT residual of the returned point.
     max_iter : int, optional
         Active-set iteration cap; defaults to ``50 * (n + #rows)``.
     start : array, optional
@@ -174,8 +173,8 @@ def solve_qp(
     Returns
     -------
     QpSolution
-        ``status == OPTIMAL`` guarantees ``kkt_residual <= tol`` and primal
-        feasibility within ``tol``.
+        ``status == OPTIMAL`` guarantees a KKT residual within ``DEFAULT_TOL``
+        times the residual scale; ``OVERFLOW`` means a step overflowed.
     """
     G, h = problem_rows(problem)
     n = problem.n
@@ -196,7 +195,7 @@ def solve_qp(
             )
         x0 = phase1.x
     H = problem.Q + problem.Q.T  # 2Q, symmetrized
-    return solve_prepared(H, problem.q, G, h, x0, max_iter=max_iter, tol=tol)
+    return solve_prepared(H, problem.q, G, h, x0, max_iter=max_iter)
 
 
 def solve_prepared(
@@ -207,7 +206,6 @@ def solve_prepared(
     x0: FloatArray,
     working_set: tuple[int, ...] | None = None,
     max_iter: int | None = None,
-    tol: float = DEFAULT_TOL,
 ) -> QpSolution:
     """Active-set solve on prebuilt rows ``G x <= h`` with ``H = 2Q``.
 
@@ -217,19 +215,22 @@ def solve_prepared(
     """
     if max_iter is None:
         max_iter = 50 * (H.shape[0] + G.shape[0])
-    x, lam, wset, iters, converged = _active_set(H, c, G, h, x0, working_set, max_iter)
-    residual = _kkt_residual_on_set(H, c, G, h, x, lam, wset)
-    status = (
-        QpStatus.OPTIMAL
-        if converged and residual <= tol * _residual_scale(H, c, x)
-        else QpStatus.ITER_LIMIT
-    )
+    x, lam, wset, iters, status, kkt = _active_set(H, c, G, h, x0, working_set, max_iter)
+    residual = math.inf
+    if status is not QpStatus.OVERFLOW:  # its residual would overflow too
+        residual = _kkt_residual_on_set(H, c, G, h, x, lam, wset)
+    if status is QpStatus.OPTIMAL and not residual <= DEFAULT_TOL * _residual_scale(H, c, x):
+        status = QpStatus.ITER_LIMIT
+    m = H.shape[0] + len(wset)
+    kkt = kkt[:m, :m]
+    kkt.flags.writeable = False
     return QpSolution(
         x=x,
         kkt_residual=residual,
         iterations=iters,
         status=status,
         working_set=tuple(wset),
+        kkt=kkt,
     )
 
 
@@ -241,8 +242,8 @@ def _active_set(
     x0: FloatArray,
     working_set: tuple[int, ...] | None,
     max_iter: int,
-) -> tuple[FloatArray, FloatArray, list[int], int, bool]:
-    """Primal active-set loop.  Returns (x, multipliers, set, iters, ok).
+) -> tuple[FloatArray, FloatArray, list[int], int, QpStatus, FloatArray]:
+    """Primal active-set loop.  Returns (x, multipliers, set, iters, status, KKT).
 
     The KKT matrix ``[[H, Gw'], [Gw, 0]]`` of the working set lives in one
     buffer, written in place as rows join and leave: the step solves on its
@@ -257,10 +258,9 @@ def _active_set(
     size = n + G.shape[0]  # a working set never holds a row twice
     kkt = np.zeros((size, size))
     kkt[:n, :n] = H
-    if wset:
-        Gw = G[wset]
-        kkt[n : n + len(wset), :n] = Gw
-        kkt[:n, n : n + len(wset)] = Gw.T
+    Gw = G[wset]
+    kkt[n : n + len(wset), :n] = Gw
+    kkt[:n, n : n + len(wset)] = Gw.T
     rhs = np.zeros(size)
     free = np.ones(G.shape[0], dtype=bool)
     free[wset] = False
@@ -288,7 +288,11 @@ def _active_set(
             free[:] = True
             continue
         d, lam = sol
-        at_optimum = _max(abs(d)) <= 1e-12 * (1.0 + _max(abs(x)))
+        dmax = _max(abs(d))
+        # Only w = 0 (H positive definite) passes a non-finite step: overflow.
+        if not math.isfinite(dmax):
+            return x, lam, wset, it, QpStatus.OVERFLOW, kkt
+        at_optimum = dmax <= 1e-12 * (1.0 + _max(abs(x)))
         if not at_optimum:
             # Ratio test over rows not in the working set.
             Gd = G.dot(d)
@@ -313,15 +317,15 @@ def _active_set(
         # Optimal unless some working-set multiplier is clearly negative;
         # otherwise drop the row with the most negative one.
         if lam.size == 0:
-            return x, lam, wset, it, True
+            return x, lam, wset, it, QpStatus.OPTIMAL, kkt
         k = lam.argmin()
         if lam.item(k) >= -1e-10 * (1.0 + grad_scale):
-            return x, lam, wset, it, True
+            return x, lam, wset, it, QpStatus.OPTIMAL, kkt
         free[wset.pop(k)] = True
         # Shift the later rows up by one: the working set keeps its order.
         kkt[n + k : m - 1, :n] = kkt[n + k + 1 : m, :n]
         kkt[:n, n + k : m - 1] = kkt[:n, n + k + 1 : m]
-    return x, lam, wset, it, False
+    return x, lam, wset, it, QpStatus.ITER_LIMIT, kkt
 
 
 def _initial_working_set(
@@ -335,12 +339,8 @@ def _initial_working_set(
     wset: list[int] = []
     if requested is not None:
         wset = [i for i in requested if 0 <= i < G.shape[0] and active[i]]
-    for i in np.flatnonzero(active):
-        i = int(i)
-        if len(wset) >= n:
-            break
-        if i not in wset:
-            wset.append(i)
+    taken = set(wset)
+    wset += [i for i in np.flatnonzero(active).tolist() if i not in taken]
     return wset[:n]
 
 
@@ -394,12 +394,13 @@ def _kkt_residual_on_set(
     grad = H @ x + c
     primal = float(np.max(G @ x - h, initial=0.0))
     if len(wset):
+        Gw = G[wset]
         if lam.size != len(wset):
             # Interrupted before multipliers were refreshed; refit them.
-            lam, *_ = np.linalg.lstsq(G[wset].T, -grad, rcond=None)
-        stat = grad + G[wset].T @ lam
+            lam, *_ = np.linalg.lstsq(Gw.T, -grad, rcond=None)
+        stat = grad + Gw.T @ lam
         neg = float(max(0.0, -lam.min()))
-        comp = float(np.max(np.abs(lam * (G[wset] @ x - h[wset])), initial=0.0))
+        comp = float(np.max(np.abs(lam * (Gw @ x - h[wset])), initial=0.0))
     else:
         stat = grad
         neg = 0.0

@@ -1,10 +1,12 @@
 """Supply/demand/excess maps, the projection step and their properties."""
 
+import functools
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -288,6 +290,8 @@ class TestEvaluatorCaching:
         # At p = 1e308 the cached interior supply piece is x = 5p = inf, and
         # the -e_j rows give 0 * inf = NaN.  The certificate must reject it,
         # so a warm evaluator fails like a cold one instead of returning inf.
+        # Both stop at the active-set step that overflows and say so; the
+        # cold one, which has no cached piece to check, warns nothing.
         inst = ModelInstance.build(
             AgentCosts(C=0.1 * np.eye(2), B=np.eye(2), l=[1.0, 1.0], M=1.0),
             FeasibleSet(A=[[1.0, 1.0]], b=[10.0]),
@@ -295,13 +299,20 @@ class TestEvaluatorCaching:
             [0.0, 0.0],
         )
         huge = [1e308, 1e308]
+        message = "the supply program overflowed at max|p| = 1.000e+308"
+        cold = ExcessEvaluator(inst)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InnerSolveFailed) as failed:
+                cold.supply(huge)
+        assert str(failed.value) == message
+        assert (cold.qp_solves, cold.inner_iterations) == (1, 3)
         warm = ExcessEvaluator(inst)
         warm.supply([0.5, 0.5])
         with np.errstate(all="ignore"):
-            with pytest.raises(InnerSolveFailed):
-                ExcessEvaluator(inst).supply(huge)
-            with pytest.raises(InnerSolveFailed):
+            with pytest.raises(InnerSolveFailed) as failed:
                 warm.supply(huge)
+        assert str(failed.value) == message
         assert warm.fast_hits == 0
 
     @pytest.mark.xfail(
@@ -325,10 +336,10 @@ class TestEvaluatorCaching:
         assert len(residuals) == 10
         assert max(residuals) <= maps.CERTIFY_TOL, residuals
 
-    def test_iteration_limit_surfaces(self, combined_1d):
+    def test_iteration_limit_surfaces(self, combined_1d, monkeypatch):
+        monkeypatch.setattr(maps.qp, "solve_prepared", functools.partial(qp.solve_prepared, max_iter=0))
         ev = ExcessEvaluator(combined_1d)
-        ev._supply.max_iter = 0
-        with pytest.raises(InnerSolveFailed):
+        with pytest.raises(InnerSolveFailed, match="iteration limit"):
             ev.evaluate(np.array([4.0]))
 
 

@@ -94,7 +94,7 @@ class TestAgainstEnumeration:
         rng = np.random.default_rng(33)
         for _ in range(50):
             problem, z = random_qp(rng)
-            sol = solve_qp(problem, tol=1e-9)
+            sol = solve_qp(problem)
             assert sol.status is QpStatus.OPTIMAL
             assert check_kkt(problem, sol.x) <= 1e-8 * (1 + np.abs(problem.q).max())
 
@@ -161,11 +161,24 @@ class TestFeasiblePoint:
         assert not res.feasible
 
 
+def dependent_problem() -> QpProblem:
+    """Three copies of one binding constraint.
+
+    Starting on it at [1, 1] puts all three in the initial working set, so
+    the first KKT step is singular and the solver must take the
+    degeneracy-bump branch.
+    """
+    return QpProblem(
+        Q=np.eye(2),
+        q=[-4.0, -4.0],
+        A=np.array([[1.0, 1.0], [1.0, 1.0], [2.0, 2.0]]),
+        b=np.array([2.0, 2.0, 4.0]),
+        nonneg=True,
+    )
+
+
 class TestPerturbationPolicy:
     def test_dependent_working_set_is_relaxed(self, monkeypatch):
-        # Three copies of the binding constraint; starting on it puts all
-        # three in the initial working set, so the first KKT step is
-        # singular and the solver must take the degeneracy-bump branch.
         kkt_step = qp_module._kkt_step
         steps = []
 
@@ -174,14 +187,7 @@ class TestPerturbationPolicy:
             return steps[-1]
 
         monkeypatch.setattr(qp_module, "_kkt_step", recording_step)
-        problem = QpProblem(
-            Q=np.eye(2),
-            q=[-4.0, -4.0],
-            A=np.array([[1.0, 1.0], [1.0, 1.0], [2.0, 2.0]]),
-            b=np.array([2.0, 2.0, 4.0]),
-            nonneg=True,
-        )
-        sol = solve_qp(problem, start=np.array([1.0, 1.0]))
+        sol = solve_qp(dependent_problem(), start=np.array([1.0, 1.0]))
         assert any(step is None for step in steps)
         assert sol.status is QpStatus.OPTIMAL
         np.testing.assert_allclose(sol.x, [1.0, 1.0], atol=1e-7)
@@ -214,3 +220,84 @@ class TestReductions:
         for reduce in (qp_module._max, qp_module._min, np.maximum.reduce, np.minimum.reduce):
             with pytest.raises(ValueError):
                 reduce(np.zeros(0))
+
+
+class TestKktMatrix:
+    """``QpSolution.kkt`` is the KKT matrix of the returned working set."""
+
+    @staticmethod
+    def hand_built(problem: QpProblem, working_set) -> np.ndarray:
+        G, _ = problem_rows(problem)
+        n, w = problem.n, len(working_set)
+        Gw = G[list(working_set)]
+        kkt = np.zeros((n + w, n + w))
+        kkt[:n, :n] = problem.Q + problem.Q.T
+        kkt[n:, :n] = Gw
+        kkt[:n, n:] = Gw.T
+        return kkt
+
+    def test_kkt_is_the_returned_working_sets_matrix(self, monkeypatch):
+        # Every solve runs at several iteration caps, so the loop also stops
+        # right after a row joins or leaves.  The recorded step sizes show
+        # that row drops and the bump reset both occur.
+        kkt_step = qp_module._kkt_step
+        sizes: list[list[int]] = []
+
+        def recording_step(kkt, *args):
+            step = kkt_step(kkt, *args)
+            sizes[-1].append(-1 if step is None else kkt.shape[0])
+            return step
+
+        monkeypatch.setattr(qp_module, "_kkt_step", recording_step)
+        rng = np.random.default_rng(17)
+        cases = [(random_qp(rng)[0], None) for _ in range(100)]
+        cases.append((dependent_problem(), np.array([1.0, 1.0])))
+        statuses = set()
+        for problem, start in cases:
+            for max_iter in (1, 2, 3, 5, None):
+                sizes.append([])
+                sol = solve_qp(problem, max_iter=max_iter, start=start)
+                statuses.add(sol.status)
+                np.testing.assert_array_equal(sol.kkt, self.hand_built(problem, sol.working_set))
+                assert not sol.kkt.flags.writeable
+        assert statuses == {QpStatus.OPTIMAL, QpStatus.ITER_LIMIT}
+        steps = [pair for run in sizes for pair in zip(run, run[1:])]
+        assert any(0 < b < a for a, b in steps), "no row was dropped"
+        assert any(a == -1 for a, _ in steps), "no bump reset"
+
+
+def initial_working_set_reference(G, h, x, requested, n):
+    """The list rule that ``_initial_working_set`` replaced."""
+    active = h - G @ x <= 1e-10 * (1.0 + np.abs(h))
+    wset = []
+    if requested is not None:
+        wset = [i for i in requested if 0 <= i < G.shape[0] and active[i]]
+    for i in np.flatnonzero(active):
+        i = int(i)
+        if len(wset) >= n:
+            break
+        if i not in wset:
+            wset.append(i)
+    return wset[:n]
+
+
+def test_initial_working_set_matches_the_list_rule():
+    rng = np.random.default_rng(23)
+    crowded = duplicated = 0
+    for _ in range(300):
+        n = int(rng.integers(1, 6))
+        rows = int(rng.integers(0, 3 * n + 3))
+        G = rng.normal(size=(rows, n))
+        x = rng.normal(size=n)
+        # About half the rows are tight at x, often more than n of them.
+        h = G @ x + np.where(rng.random(rows) < 0.5, 0.0, rng.uniform(0.1, 1.0, size=rows))
+        requested = None
+        if rng.random() < 0.8:
+            # Duplicates, inactive rows and out-of-range indices.
+            requested = tuple(int(i) for i in rng.integers(-2, rows + 2, size=rng.integers(0, 2 * n + 2)))
+        got = qp_module._initial_working_set(G, h, x, requested, n)
+        assert got == initial_working_set_reference(G, h, x, requested, n)
+        assert all(type(i) is int for i in got)
+        crowded += int(np.count_nonzero(h - G @ x <= 1e-10 * (1.0 + np.abs(h))) > n)
+        duplicated += int(requested is not None and len(set(requested)) < len(requested))
+    assert crowded > 50 and duplicated > 50
