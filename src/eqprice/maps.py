@@ -12,9 +12,9 @@ are exactly the equilibrium prices, which makes the scaled distance
 An ``ExcessEvaluator`` owns all per-solve state: the warm start and the
 last optimal basis of each inner program.  While a basis stays optimal the
 minimizer is affine in p (the critical region of a parametric QP), so the
-cached piece answers directly once it passes one KKT certificate.
-Construct one evaluator per solver run; instances themselves are immutable
-and shareable.
+cached piece answers directly once it passes one KKT certificate (its
+matrix is inverted lazily, behind a cheap screen).  Construct one evaluator
+per solver run; instances themselves are immutable and shareable.
 """
 
 from __future__ import annotations
@@ -32,6 +32,9 @@ from .model import ModelInstance
 FloatArray = npt.NDArray[np.float64]
 
 CERTIFY_TOL = 1e-8
+# Larger max|p| skips the cached piece, whose products (linear in p, squared
+# once) cannot overflow below it unless a cached entry exceeds about 1e50.
+PIECE_PMAX = 1e100
 _max, _min = qp._max, qp._min
 
 
@@ -81,9 +84,10 @@ class _InnerMap:
     ``floor`` optionally adds the utility floor ``l'x >= M``.  Keeps the
     constraint rows, the last solution (feasible for every p; before the
     first solve a cold start, zero when feasible, else a phase-1 point) and
-    the inverse of the last optimal solve's KKT matrix.  While that basis
-    stays optimal, a new price costs a few small matrix-vector products
-    plus one certificate check.  The linear term is ``c = -p`` for supply
+    the last optimal solve's KKT matrix.  The matrix is inverted at the
+    first price whose solve of it passes ``_screen``; while that basis stays
+    optimal, a new price costs a few small matrix-vector products plus one
+    certificate check.  The linear term is ``c = -p`` for supply
     and ``c = p`` for demand.
     """
 
@@ -106,21 +110,43 @@ class _InnerMap:
             zero if qp._max_violation(self.G, self.h, zero) <= 1e-12 else None
         )
         self.last_wset: tuple[int, ...] | None = None
+        self._kkt = None  # (KKT matrix, working set) of the last solve, not yet inverted
         self._basis = None  # (K_x, c_x, K_l, c_l, G_w_T)
         self.solves = 0
         self.fast_hits = 0
         self.iterations = 0
+        self.inversions = 0
 
     def _refresh_basis(self, sol: qp.QpSolution) -> None:
-        # inv copies sol.kkt to Fortran order, the bytes of a fresh matrix.  A
-        # view of it as G_w_T would have strides that take another BLAS kernel.
+        # A compact copy: sol.kkt is a view into the solver's (n + rows)^2 buffer.
+        self._kkt = (np.array(sol.kkt), list(sol.working_set))
+        self._basis = None
+
+    def _screen(self, neg_c: FloatArray) -> bool:
+        """Whether the pending piece can be optimal at linear term -neg_c: one
+        solve of its KKT system, tested 1000x looser than ``_try_basis``."""
+        kkt, idx = self._kkt
         n = self.H.shape[0]
         try:
-            inv = np.linalg.inv(sol.kkt)
+            z = np.linalg.solve(kkt, np.concatenate((neg_c, self.h[idx])))
+        except np.linalg.LinAlgError:  # inv would raise on the same matrix
+            self._kkt = None
+            return False
+        x, lam = z[:n], z[n:]
+        if lam.size and not _min(lam) >= -1e-6 * (1.0 + _max(abs(lam))):
+            return False
+        return _max(self.G.dot(x) - self.h) <= 1e-6 * self.hscale * (1.0 + _max(abs(x)))
+
+    def _invert(self) -> None:
+        # inv copies the KKT matrix to Fortran order; a view of it as G_w_T
+        # would have strides that take another BLAS kernel.
+        (kkt, idx), self._kkt = self._kkt, None
+        n = self.H.shape[0]
+        self.inversions += 1
+        try:
+            inv = np.linalg.inv(kkt)
         except np.linalg.LinAlgError:
-            self._basis = None
             return
-        idx = list(sol.working_set)
         hw = self.h[idx]
         self._basis = (
             inv[:n, :n],
@@ -140,6 +166,10 @@ class _InnerMap:
         returned is certified to ``CERTIFY_TOL``.  Each test is written so
         that NaN fails it, as a non-finite price can make the piece NaN.
         """
+        if cmax > PIECE_PMAX or self._kkt is not None and not self._screen(neg_c):
+            return None
+        if self._kkt is not None:
+            self._invert()
         if self._basis is None:
             return None
         # The bench iteration counts must not drift, so every operation here
@@ -195,8 +225,11 @@ class _InnerMap:
         if sol.status is qp.QpStatus.OVERFLOW:
             raise InnerSolveFailed(f"the {self.kind} program overflowed at max|p| = {cmax:.3e}")
         if sol.status is not qp.QpStatus.OPTIMAL:
+            limit = sol.status is qp.QpStatus.ITER_LIMIT
+            cause = "hit iteration limit" if limit else "missed the residual tolerance"
             raise InnerSolveFailed(
-                f"inner program hit iteration limit (residual {sol.kkt_residual:.3e})"
+                f"the {self.kind} program {cause}: residual {sol.kkt_residual:.3e}"
+                f" after {sol.iterations} iterations"
             )
         self.last_x = sol.x
         self.last_wset = sol.working_set
@@ -299,3 +332,7 @@ class ExcessEvaluator:
     @property
     def inner_iterations(self) -> int:
         return self._supply.iterations + self._demand.iterations
+
+    @property
+    def basis_inversions(self) -> int:
+        return self._supply.inversions + self._demand.inversions

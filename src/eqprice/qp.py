@@ -47,6 +47,7 @@ class QpStatus(str, Enum):
     INFEASIBLE = "infeasible"
     ITER_LIMIT = "iter_limit"
     OVERFLOW = "overflow"
+    INACCURATE = "inaccurate"  # the loop's sign test passed, the residual test did not
 
 
 @dataclass(frozen=True)
@@ -174,7 +175,8 @@ def solve_qp(
     -------
     QpSolution
         ``status == OPTIMAL`` guarantees a KKT residual within ``DEFAULT_TOL``
-        times the residual scale; ``OVERFLOW`` means a step overflowed.
+        times the residual scale; ``OVERFLOW`` means a step overflowed and
+        ``INACCURATE`` that the loop stopped above that residual bound.
     """
     G, h = problem_rows(problem)
     n = problem.n
@@ -220,7 +222,7 @@ def solve_prepared(
     if status is not QpStatus.OVERFLOW:  # its residual would overflow too
         residual = _kkt_residual_on_set(H, c, G, h, x, lam, wset)
     if status is QpStatus.OPTIMAL and not residual <= DEFAULT_TOL * _residual_scale(H, c, x):
-        status = QpStatus.ITER_LIMIT
+        status = QpStatus.INACCURATE
     m = H.shape[0] + len(wset)
     kkt = kkt[:m, :m]
     kkt.flags.writeable = False

@@ -1,5 +1,7 @@
 """Supply/demand/excess maps, the projection step and their properties."""
 
+import collections
+import copy
 import functools
 import hashlib
 import json
@@ -198,27 +200,52 @@ class TestProblemBuilders:
 
 
 SRC = str(Path(maps.__file__).resolve().parents[1])
-# An evaluator primed at p0 of a 50/30 orthant instance, then the ten prices
-# of that case in order; each demand answer's qp.check_kkt residual on the
-# evaluator's own certificate scale 1 + max|p| + max|Hx|.
-SCATTER_CASE_13 = """
-import json
+# One case of the price-scatter benchmark: an evaluator primed at p0 of the
+# 50/30 orthant instance (point -1), then the ten prices of that case in
+# order, as one pass feeds them.  For each point and program, the answer's
+# qp.check_kkt residual on the evaluator's own certificate scale
+# 1 + max|p| + max|Hx|, or the message of a failed evaluation.
+SCATTER_CASE = """
+import json, sys
 import numpy as np
 from eqprice import maps, qp
 from eqprice.cli import trial_seed
 from eqprice.gen import GenConfig, random_instance
-inst = random_instance(GenConfig(n=50, m=30, seed=trial_seed(48, 50, 30, 13)))
-rng = np.random.default_rng(np.random.SeedSequence([48, 50, 30, 0x5CA77E5]))
+seed, case = map(int, sys.argv[1:])
+inst = random_instance(GenConfig(n=50, m=30, seed=trial_seed(seed, 50, 30, case)))
+rng = np.random.default_rng(np.random.SeedSequence([seed, 50, 30, 0x5CA77E5]))
 ev = maps.ExcessEvaluator(inst)
-ev.evaluate(inst.p0)
-residuals = []
-for p in rng.uniform(0.0, 100.0, size=(10, 40, 50))[:, 13]:
-    x = ev.demand(p)
-    problem = maps.demand_problem(inst, p)
-    scale = 1.0 + float(np.max(np.abs(p))) + float(np.max(np.abs(2.0 * problem.Q @ x)))
-    residuals.append(qp.check_kkt(problem, x) / scale)
-print(json.dumps(residuals))
+out = {}
+for point, p in enumerate([inst.p0, *rng.uniform(0.0, 100.0, size=(10, 40, 50))[:, case]], -1):
+    try:
+        answer = ev.evaluate(p)
+    except maps.InnerSolveFailed as exc:
+        out[f"point {point}"] = str(exc)
+        continue
+    for kind, problem, x in (
+        ("supply", maps.supply_problem(inst, p), answer.supply),
+        ("demand", maps.demand_problem(inst, p), answer.demand),
+    ):
+        scale = 1.0 + float(np.max(np.abs(p))) + float(np.max(np.abs(2.0 * problem.Q @ x)))
+        out[f"{kind} {point}"] = qp.check_kkt(problem, x) / scale
+print(json.dumps(out))
 """
+
+
+def scatter_case(seed: int, case: int) -> dict:
+    """SCATTER_CASE in a child process with the benchmark's single BLAS thread.
+
+    The 50/30 answers depend on the thread count (with two threads the
+    seed-48 case-13 answers land at 4-7e-9 instead of 1.04-1.13e-8).
+    """
+    path = [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    out = subprocess.run(
+        [sys.executable, "-c", SCATTER_CASE, str(seed), str(case)],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    return json.loads(out.stdout)
 
 
 class TestEvaluatorCaching:
@@ -244,9 +271,12 @@ class TestEvaluatorCaching:
         # Shift the cached supply piece so that at p = 4.5 its stationarity
         # residual is 5.2e-7, above CERTIFY_TOL * s = 1e-7 (s = 1 + 4.5 +
         # 4.5) but below 1e-6.  The piece must be rejected, not raised on,
-        # and one active-set solve must answer exactly.
+        # and one active-set solve must answer exactly.  The second call at
+        # 4.0 is a fast hit, which inverts the cached piece.
         ev = ExcessEvaluator(combined_1d)
         ev.evaluate([4.0])
+        ev.evaluate([4.0])
+        assert ev.fast_hits == 2
         K_x, c_x, *rest = ev._supply._basis
         ev._supply._basis = (K_x, c_x + 2.6e-7, *rest)
         solves = ev.qp_solves
@@ -256,8 +286,8 @@ class TestEvaluatorCaching:
 
     @staticmethod
     def scattered_prices(n: int, m: int) -> tuple[str, tuple[int, int]]:
-        """sha256 of the supply/demand bits at 10 seeded prices, and the
-        evaluator's (qp_solves, inner_iterations)."""
+        """sha256 of the supply/demand bits at 10 seeded prices, the
+        evaluator's (qp_solves, inner_iterations) and its basis inversions."""
         inst = random_instance(GenConfig(n=n, m=m, seed=trial_seed(42, n, m, 0)))
         ev = ExcessEvaluator(inst)
         prices = np.random.default_rng(2024).uniform(0.0, 100.0, size=(10, inst.n))
@@ -266,7 +296,7 @@ class TestEvaluatorCaching:
             out = ev.evaluate(p)
             digest.update(out.supply.tobytes())
             digest.update(out.demand.tobytes())
-        return digest.hexdigest(), (ev.qp_solves, ev.inner_iterations)
+        return digest.hexdigest(), (ev.qp_solves, ev.inner_iterations), ev.basis_inversions
 
     def test_scattered_prices_are_pinned(self):
         # Independent prices break the cached basis, so nearly every inner
@@ -275,23 +305,56 @@ class TestEvaluatorCaching:
         assert self.scattered_prices(30, 20) == (
             "bed4aa0a7d994d75737f07d03b7c5ba44fe8b7cf7f8a1193ba8b737eda6c32e3",
             (19, 138),
+            1,
         )
 
     def test_scattered_prices_are_pinned_at_50_30(self):
         # As above at the benchmark's scatter size: KKT systems reach 100
         # rows and working-set rows are dropped often, so the in-place add
-        # and drop of KKT rows is pinned bit for bit.
+        # and drop of KKT rows is pinned bit for bit.  The screen lets one of
+        # the 13 cached pieces on to an inversion.
         assert self.scattered_prices(50, 30) == (
             "f459baa61bfeb145af3453b1d4959a0523f455db9adc17beef1a7770f06494c1",
             (13, 120),
+            1,
         )
 
+    @pytest.mark.parametrize("n, m", [(10, 8), (30, 20)])
+    def test_screen_never_rejects_a_certified_piece(self, n, m):
+        # Before each evaluation, every piece still waiting for its inverse is
+        # screened, and also inverted and certified on a copy.  The screen may
+        # pass a piece that the certificate rejects, never the reverse.  Two
+        # prices in three are scattered and the third stays near the last
+        # one, so that both verdicts occur about equally often.
+        verdicts = collections.Counter()
+        rng = np.random.default_rng(7)
+        for trial in range(3):
+            inst = random_instance(GenConfig(n=n, m=m, seed=trial_seed(42, n, m, trial)))
+            ev = ExcessEvaluator(inst)
+            p = inst.p0
+            for step in range(30):
+                pmax = float(np.max(np.abs(p)))
+                for inner, c in ((ev._supply, -p), (ev._demand, p)):
+                    if inner._kkt is not None:
+                        forced = copy.copy(inner)
+                        forced._invert()
+                        exact = forced._try_basis(c, -c, pmax) is not None
+                        verdicts[copy.copy(inner)._screen(-c), exact] += 1
+                ev.evaluate(p)
+                if step % 3 == 2:
+                    p = p * rng.uniform(0.99, 1.01, size=n)
+                else:
+                    p = rng.uniform(0.0, 100.0, size=n)
+        assert verdicts[False, True] == 0, verdicts
+        assert verdicts[False, False] > 0 and verdicts[True, True] > 0, verdicts
+
     def test_non_finite_piece_is_not_certified(self):
-        # At p = 1e308 the cached interior supply piece is x = 5p = inf, and
-        # the -e_j rows give 0 * inf = NaN.  The certificate must reject it,
-        # so a warm evaluator fails like a cold one instead of returning inf.
-        # Both stop at the active-set step that overflows and say so; the
-        # cold one, which has no cached piece to check, warns nothing.
+        # At p = 1e308 the cached interior supply piece would be x = 5p = inf,
+        # and the -e_j rows would give 0 * inf = NaN.  Above maps.PIECE_PMAX
+        # no cached piece is tried, neither its screen nor its inverse, so a
+        # warm evaluator fails like a cold one instead of returning inf: each
+        # stops at the active-set step that overflows, says so and warns
+        # nothing.
         inst = ModelInstance.build(
             AgentCosts(C=0.1 * np.eye(2), B=np.eye(2), l=[1.0, 1.0], M=1.0),
             FeasibleSet(A=[[1.0, 1.0]], b=[10.0]),
@@ -307,13 +370,20 @@ class TestEvaluatorCaching:
                 cold.supply(huge)
         assert str(failed.value) == message
         assert (cold.qp_solves, cold.inner_iterations) == (1, 3)
-        warm = ExcessEvaluator(inst)
-        warm.supply([0.5, 0.5])
-        with np.errstate(all="ignore"):
-            with pytest.raises(InnerSolveFailed) as failed:
-                warm.supply(huge)
-        assert str(failed.value) == message
-        assert warm.fast_hits == 0
+        # One warm evaluator holds a piece not yet inverted; the other has
+        # inverted it for a fast hit.
+        for warm_prices in ([[0.5, 0.5]], [[0.5, 0.5], [0.6, 0.6]]):
+            warm = ExcessEvaluator(inst)
+            for p in warm_prices:
+                warm.supply(p)
+            fast = len(warm_prices) - 1
+            assert (warm.fast_hits, warm.basis_inversions) == (fast, fast)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(InnerSolveFailed) as failed:
+                    warm.supply(huge)
+            assert str(failed.value) == message
+            assert (warm.fast_hits, warm.basis_inversions) == (fast, fast)
 
     @pytest.mark.xfail(
         strict=True,
@@ -322,25 +392,46 @@ class TestEvaluatorCaching:
         "demand answers that qp.check_kkt finds 1.04-1.13e-8 loose",
     )
     def test_scattered_demand_passes_the_independent_check(self):
-        # Case 13 of the price-scatter benchmark at seed 48, rebuilt from the
-        # library in a child process with the benchmark's single BLAS thread
-        # (with two threads the same answers land at 4-7e-9).
-        path = [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-        env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-        out = subprocess.run(
-            [sys.executable, "-c", SCATTER_CASE_13],
-            env=env, capture_output=True, text=True, check=True, timeout=120,
-        )
-        residuals = json.loads(out.stdout)
-        assert len(residuals) == 10
+        # Case 13 of the price-scatter benchmark at seed 48.
+        results = scatter_case(48, 13)
+        residuals = [results[f"demand {point}"] for point in range(10)]
         assert max(residuals) <= maps.CERTIFY_TOL, residuals
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="on 50-row working sets the active-set solve stops with a "
+        "complementarity |lambda * slack| above its residual tolerance",
+    )
+    @pytest.mark.parametrize("seed, case", [(8, 31), (20, 36)], ids=["seed8-case31", "seed20-case36"])
+    def test_scattered_case_is_solved_and_certified(self, seed, case):
+        # The price-scatter cases that fail at seeds 0-60: seed 8 at points 3
+        # and 4, seed 20 while priming the demand program at p0.
+        results = scatter_case(seed, case)
+        failed = {
+            key: value for key, value in results.items()
+            if isinstance(value, str) or value > maps.CERTIFY_TOL
+        }
+        assert not failed, failed
 
     def test_iteration_limit_surfaces(self, combined_1d, monkeypatch):
         monkeypatch.setattr(maps.qp, "solve_prepared", functools.partial(qp.solve_prepared, max_iter=0))
         ev = ExcessEvaluator(combined_1d)
         with pytest.raises(InnerSolveFailed, match="iteration limit"):
             ev.evaluate(np.array([4.0]))
+
+    def test_residual_failure_names_its_cause(self, combined_1d, monkeypatch):
+        # A solve that stops above the residual tolerance is not reported as
+        # an iteration limit: the message names the program, the residual and
+        # the iterations taken.
+        monkeypatch.setattr(maps.qp, "DEFAULT_TOL", -1.0)  # no residual meets it
+        ev = ExcessEvaluator(combined_1d)
+        with pytest.raises(InnerSolveFailed) as failed:
+            ev.supply([4.0])
+        assert str(failed.value) == (
+            "the supply program missed the residual tolerance: residual "
+            "0.000e+00 after 2 iterations"
+        )
 
 
 @pytest.fixture(scope="module")

@@ -62,6 +62,18 @@ class TestSolveQp:
         sol = solve_qp(problem, max_iter=1, start=z)
         assert sol.status in (QpStatus.ITER_LIMIT, QpStatus.OPTIMAL)
 
+    def test_residual_above_tolerance_is_its_own_status(self, monkeypatch):
+        # A loop that passes its sign test but not the residual test is
+        # INACCURATE, not ITER_LIMIT; its answer and iterations are unchanged.
+        problem, z = random_qp(np.random.default_rng(5))
+        optimal = solve_qp(problem, start=z)
+        assert optimal.status is QpStatus.OPTIMAL
+        monkeypatch.setattr(qp_module, "DEFAULT_TOL", -1.0)  # no residual meets it
+        inaccurate = solve_qp(problem, start=z)
+        assert inaccurate.status is QpStatus.INACCURATE
+        np.testing.assert_array_equal(inaccurate.x, optimal.x)
+        assert inaccurate.iterations == optimal.iterations
+
     def test_degenerate_duplicate_rows(self):
         # The same constraint twice makes the optimal active set dependent.
         problem = QpProblem(
