@@ -19,6 +19,7 @@ per solver run; instances themselves are immutable and shareable.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 from dataclasses import dataclass
@@ -79,36 +80,24 @@ def demand_problem(instance: ModelInstance, p: FloatArray) -> qp.QpProblem:
 
 
 class _InnerMap:
-    """One parametric QP ``min x'Qx + c'x`` over ``{x >= 0 : Ax <= b}``.
+    """``problem`` as a parametric QP in its linear term: ``c = -p`` for
+    supply and ``c = p`` for demand.
 
-    ``floor`` optionally adds the utility floor ``l'x >= M``.  Keeps the
-    constraint rows, the last solution (feasible for every p; before the
-    first solve a cold start, zero when feasible, else a phase-1 point) and
-    the last optimal solve's KKT matrix.  The matrix is inverted at the
-    first price whose solve of it passes ``_screen``; while that basis stays
-    optimal, a new price costs a few small matrix-vector products plus one
-    certificate check.  The linear term is ``c = -p`` for supply
-    and ``c = p`` for demand.
+    Until a solve succeeds, ``qp.solve_qp`` starts it cold (zero when
+    feasible, else a phase-1 point); later solves warm-start from the last
+    solution and working set.  The last optimal solve's KKT matrix is
+    inverted at the first price whose solve of it passes ``_screen``; while
+    that basis stays optimal, a new price costs a few small matrix-vector
+    products plus one certificate check.
     """
 
-    def __init__(
-        self,
-        kind: str,
-        Q: FloatArray,
-        A: FloatArray,
-        b: FloatArray,
-        floor: tuple[FloatArray, float] | None,
-    ):
-        n = Q.shape[0]
+    def __init__(self, kind: str, problem: qp.QpProblem):
         self.kind = kind
-        self.H = Q + Q.T
-        self.A, self.b, self.floor = A, b, floor
-        self.G, self.h = qp.inequality_rows(A, b, floor, True, n)
-        self.hscale = 1.0 + float(np.max(np.abs(self.h), initial=0.0))
-        zero = np.zeros(n)
-        self.last_x: FloatArray | None = (
-            zero if qp._max_violation(self.G, self.h, zero) <= 1e-12 else None
-        )
+        self.problem = problem
+        self.H = problem.Q + problem.Q.T
+        self.G, self.h = qp.problem_rows(problem)
+        self.hscale = 1.0 + qp._hscale(self.h)
+        self.last_x: FloatArray | None = None
         self.last_wset: tuple[int, ...] | None = None
         self._kkt = None  # (KKT matrix, working set) of the last solve, not yet inverted
         self._basis = None  # (K_x, c_x, K_l, c_l, G_w_T)
@@ -160,10 +149,10 @@ class _InnerMap:
         """The cached affine piece at linear term c, if it is certified optimal.
 
         Certificate: nonnegative multipliers, primal feasibility, and the
-        KKT residual ``max(viol, stat)`` within ``CERTIFY_TOL * s`` with
-        ``s = 1 + max|c| + max|Hx|``.  That is the scale on which an optimal
-        active-set solve meets ``qp.DEFAULT_TOL``, so either way the point
-        returned is certified to ``CERTIFY_TOL``.  Each test is written so
+        KKT residual ``max(viol, stat)`` within ``CERTIFY_TOL`` times
+        ``qp.residual_scale``, the scale on which an optimal active-set
+        solve meets ``qp.DEFAULT_TOL``, so either way the point returned is
+        certified to ``CERTIFY_TOL``.  Each test is written so
         that NaN fails it, as a non-finite price can make the piece NaN.
         """
         if cmax > PIECE_PMAX or self._kkt is not None and not self._screen(neg_c):
@@ -190,7 +179,7 @@ class _InnerMap:
         hx = self.H.dot(x)
         r = hx + c + GwT.dot(lam)
         stat = math.sqrt(r.dot(r))
-        bound = CERTIFY_TOL * (1.0 + cmax + _max(abs(hx)))
+        bound = CERTIFY_TOL * qp.residual_scale(cmax, hx)
         if not (viol <= bound and stat <= bound):
             return None
         return x
@@ -207,19 +196,11 @@ class _InnerMap:
             self.last_x = x
             return x
         if self.last_x is None:
-            n = self.H.shape[0]
-            res = qp.feasible_point(self.A, self.b, floor=self.floor, nonneg=True, n=n)
-            if not res.feasible:
+            sol = qp.solve_qp(dataclasses.replace(self.problem, q=c))
+            if sol.status is qp.QpStatus.INFEASIBLE:
                 raise InnerSolveFailed(f"the {self.kind} feasible region is empty")
-            self.last_x = res.x
-        sol = qp.solve_prepared(
-            self.H,
-            c,
-            self.G,
-            self.h,
-            self.last_x,
-            working_set=self.last_wset,
-        )
+        else:
+            sol = qp.solve_prepared(self.H, c, self.G, self.h, self.last_x, self.last_wset)
         self.solves += 1
         self.iterations += sol.iterations
         if sol.status is qp.QpStatus.OVERFLOW:
@@ -247,9 +228,9 @@ class ExcessEvaluator:
     def __init__(self, instance: ModelInstance):
         self.instance = instance
         self._project = instance.domain.projector(instance.n)
-        costs, feasible = instance.costs, instance.feasible
-        self._supply = _InnerMap("supply", costs.C, feasible.A, feasible.b, None)
-        self._demand = _InnerMap("demand", costs.B, feasible.A, feasible.b, (costs.l, costs.M))
+        p0 = np.zeros(instance.n)
+        self._supply = _InnerMap("supply", supply_problem(instance, p0))
+        self._demand = _InnerMap("demand", demand_problem(instance, p0))
 
     def _price(self, p) -> tuple[FloatArray, float]:
         """The price as a 1-D float array of length n, and its max|p|.

@@ -25,6 +25,8 @@ from scipy.optimize import linprog
 FloatArray = npt.NDArray[np.float64]
 
 DEFAULT_TOL = 1e-9
+# Constraint violation that phase-1 accepts as feasible.
+FEASIBILITY_TOL = 1e-9
 # Relaxation applied to the right-hand side of rows in a degenerate
 # (linearly dependent) working set before re-solving.
 DEGENERACY_BUMP = 1e-12
@@ -186,7 +188,7 @@ def solve_qp(
         if cand.shape[0] == n and _max_violation(G, h, cand) <= 1e-8 * (1.0 + _hscale(h)):
             x0 = cand
     if x0 is None:
-        phase1 = feasible_point(problem.A, problem.b, problem.floor, problem.nonneg, n=n)
+        phase1 = feasible_point(problem.A, problem.b, n, problem.floor, problem.nonneg)
         if not phase1.feasible:
             return QpSolution(
                 x=np.zeros(n),
@@ -221,7 +223,9 @@ def solve_prepared(
     residual = math.inf
     if status is not QpStatus.OVERFLOW:  # its residual would overflow too
         residual = _kkt_residual_on_set(H, c, G, h, x, lam, wset)
-    if status is QpStatus.OPTIMAL and not residual <= DEFAULT_TOL * _residual_scale(H, c, x):
+    if status is QpStatus.OPTIMAL and not residual <= DEFAULT_TOL * residual_scale(
+        _max(abs(c)), H.dot(x)
+    ):
         status = QpStatus.INACCURATE
     m = H.shape[0] + len(wset)
     kkt = kkt[:m, :m]
@@ -340,7 +344,8 @@ def _initial_working_set(
     active = h - G @ x <= 1e-10 * (1.0 + np.abs(h))
     wset: list[int] = []
     if requested is not None:
-        wset = [i for i in requested if 0 <= i < G.shape[0] and active[i]]
+        # First occurrences only: a row twice in the KKT matrix makes it singular.
+        wset = list(dict.fromkeys(i for i in requested if 0 <= i < G.shape[0] and active[i]))
     taken = set(wset)
     wset += [i for i in np.flatnonzero(active).tolist() if i not in taken]
     return wset[:n]
@@ -410,21 +415,20 @@ def _kkt_residual_on_set(
     return max(primal, float(np.linalg.norm(stat)), neg, comp)
 
 
-def check_kkt(problem: QpProblem, x: FloatArray, tol: float = 1e-8) -> float:
+def check_kkt(problem: QpProblem, x: FloatArray) -> float:
     """Independent optimality certificate for a candidate point.
 
-    Finds the active rows at ``x``, fits multipliers by least squares and
-    returns the largest of primal infeasibility, stationarity residual,
-    multiplier negativity and complementarity gap.  Zero (up to ``tol``)
-    exactly when ``x`` is the minimizer.
+    Takes the rows within ``1e-7 * (1 + |h_i|)`` of active at ``x``, fits
+    multipliers by least squares and returns the largest of primal
+    infeasibility, stationarity residual, multiplier negativity and
+    complementarity gap.  Zero exactly when ``x`` is the minimizer.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     G, h = problem_rows(problem)
     viol = G @ x - h
     primal = float(np.max(viol, initial=0.0))
     grad = problem.gradient(x)
-    act_tol = max(10.0 * tol, 1e-9)
-    active = np.flatnonzero(viol >= -act_tol * (1.0 + np.abs(h)))
+    active = np.flatnonzero(viol >= -1e-7 * (1.0 + np.abs(h)))
     if active.size == 0:
         return max(primal, float(np.linalg.norm(grad)))
     Ga = G[active]
@@ -438,36 +442,22 @@ def check_kkt(problem: QpProblem, x: FloatArray, tol: float = 1e-8) -> float:
 def feasible_point(
     A: FloatArray,
     b: FloatArray,
+    n: int,
     floor: tuple[FloatArray, float] | None = None,
     nonneg: bool = True,
-    n: int | None = None,
-    tol: float = 1e-9,
 ) -> FeasiblePointResult:
-    """Find x with ``Ax <= b``, optional ``g'x >= M`` and optional ``x >= 0``.
+    """Find x with ``Ax <= b`` (2-D A), optional ``g'x >= M`` and optional ``x >= 0``.
 
-    Uses an elastic linear program (minimize total constraint violation);
-    a strictly positive optimum proves emptiness and its dual multipliers
+    Zero when it violates no row by more than ``FEASIBILITY_TOL``, else an
+    elastic linear program (minimize total constraint violation); a
+    strictly positive optimum proves emptiness and its dual multipliers
     are returned as the certificate.
     """
-    A = np.asarray(A, dtype=float)
-    if A.ndim == 1:
-        A = A.reshape(1, -1) if A.size else A.reshape(0, 0)
-    b = np.asarray(b, dtype=float).reshape(-1)
-    if n is None:
-        if A.size:
-            n = A.shape[1]
-        elif floor is not None:
-            n = np.asarray(floor[0]).size
-        else:
-            raise ValueError("cannot infer dimension, pass n")
-    if A.size == 0:
-        A = A.reshape(0, n)
-
     G, h = inequality_rows(A, b, floor, nonneg, n)
     # Nonnegativity goes through linprog bounds, not elastic rows.
-    n_elastic = A.shape[0] + (1 if floor is not None else 0)
+    n_elastic = G.shape[0] - (n if nonneg else 0)
     x0 = np.zeros(n)
-    if _max_violation(G, h, x0) <= tol:
+    if _max_violation(G, h, x0) <= FEASIBILITY_TOL:
         return FeasiblePointResult(feasible=True, x=x0)
 
     G_el = G[:n_elastic]
@@ -478,7 +468,7 @@ def feasible_point(
     res = linprog(cost, A_ub=a_ub, b_ub=h_el, bounds=bounds, method="highs")
     if res.status != 0:
         raise RuntimeError(f"phase-1 LP failed unexpectedly: {res.message}")
-    if res.fun <= tol:
+    if res.fun <= FEASIBILITY_TOL:
         x = np.asarray(res.x[:n], dtype=float)
         if nonneg:
             x = np.maximum(x, 0.0)
@@ -489,13 +479,10 @@ def feasible_point(
     return FeasiblePointResult(feasible=False, certificate=cert, gap=float(res.fun))
 
 
-def _residual_scale(H: FloatArray, c: FloatArray, x: FloatArray) -> float:
-    """Natural magnitude of KKT quantities at x (for relative tolerances)."""
-    return (
-        1.0
-        + float(np.max(np.abs(c), initial=0.0))
-        + float(np.max(np.abs(H @ x), initial=0.0))
-    )
+def residual_scale(cmax: float, hx: FloatArray) -> float:
+    """``1 + max|c| + max|Hx|`` from ``cmax = max|c|`` and ``hx = Hx``: the scale
+    of the KKT residual, for an optimal solve and a cached piece alike."""
+    return 1.0 + cmax + _max(abs(hx))
 
 
 def _max_violation(G: FloatArray, h: FloatArray, x: FloatArray) -> float:

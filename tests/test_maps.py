@@ -2,7 +2,6 @@
 
 import collections
 import copy
-import functools
 import hashlib
 import json
 import os
@@ -197,6 +196,36 @@ class TestProblemBuilders:
             d_direct = solve_qp(demand_problem(combined_1d, p)).x
             np.testing.assert_allclose(ev.supply(p), s_direct, atol=1e-8)
             np.testing.assert_allclose(ev.demand(p), d_direct, atol=1e-8)
+
+    def test_first_answers_are_the_cold_solves(self, rng):
+        # A fresh evaluator starts through solve_qp: the supply program from
+        # zero, the demand program (utility floor M > 0) from a phase-1 point.
+        from eqprice.maps import demand_problem, supply_problem
+        from eqprice.qp import solve_qp
+
+        inst = random_instance(GenConfig(n=10, m=8, seed=trial_seed(42, 10, 8, 0)))
+        for p in (inst.p0, rng.uniform(0.0, 100.0, size=10)):
+            for name, build in (("supply", supply_problem), ("demand", demand_problem)):
+                ev = ExcessEvaluator(inst)
+                sol = solve_qp(build(inst, p))
+                np.testing.assert_array_equal(getattr(ev, name)(p), sol.x)
+                assert ev.inner_iterations == sol.iterations
+                assert ev.qp_solves == 1
+
+    def test_empty_demand_set_is_named(self):
+        # l'x >= 20 is out of reach on 0 <= x <= 10.
+        inst = ModelInstance.build(
+            AgentCosts(C=[[1.0]], B=[[1.0]], l=[1.0], M=20.0),
+            FeasibleSet(A=[[1.0]], b=[10.0]),
+            PriceDomain.orthant(),
+            [4.0],
+        )
+        ev = ExcessEvaluator(inst)
+        np.testing.assert_allclose(ev.supply([4.0]), [2.0], atol=1e-9)
+        for _ in range(2):
+            with pytest.raises(InnerSolveFailed, match="^the demand feasible region is empty$"):
+                ev.demand([4.0])
+        assert ev.qp_solves == 1
 
 
 SRC = str(Path(maps.__file__).resolve().parents[1])
@@ -415,7 +444,11 @@ class TestEvaluatorCaching:
         assert not failed, failed
 
     def test_iteration_limit_surfaces(self, combined_1d, monkeypatch):
-        monkeypatch.setattr(maps.qp, "solve_prepared", functools.partial(qp.solve_prepared, max_iter=0))
+        # Override max_iter even where the caller passes it: solve_qp does.
+        solve_prepared = qp.solve_prepared
+        monkeypatch.setattr(
+            maps.qp, "solve_prepared", lambda *args, **kw: solve_prepared(*args, **{**kw, "max_iter": 0})
+        )
         ev = ExcessEvaluator(combined_1d)
         with pytest.raises(InnerSolveFailed, match="iteration limit"):
             ev.evaluate(np.array([4.0]))

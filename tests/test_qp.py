@@ -147,12 +147,12 @@ class TestCheckKkt:
 
 class TestFeasiblePoint:
     def test_interval_intersection(self):
-        res = feasible_point([[1.0]], [10.0], floor=([1.0], 2.0), nonneg=True)
+        res = feasible_point([[1.0]], [10.0], 1, floor=([1.0], 2.0), nonneg=True)
         assert res.feasible
         assert 2.0 - 1e-9 <= res.x[0] <= 10.0 + 1e-9
 
     def test_contradictory_floor(self):
-        res = feasible_point([[1.0]], [1.0], floor=([1.0], 2.0), nonneg=True)
+        res = feasible_point([[1.0]], [1.0], 1, floor=([1.0], 2.0), nonneg=True)
         assert not res.feasible
         assert res.gap > 0.5
         # y >= 0 with y'G >= 0 on x >= 0 and y'h < 0 proves emptiness.
@@ -164,12 +164,12 @@ class TestFeasiblePoint:
         assert float(y[:2] @ h) < -1e-6
 
     def test_unconstrained_nonneg_returns_zero(self):
-        res = feasible_point(np.zeros((0, 1)), [], nonneg=True, n=1)
+        res = feasible_point(np.zeros((0, 1)), [], 1, nonneg=True)
         assert res.feasible
         np.testing.assert_allclose(res.x, [0.0])
 
     def test_negative_rhs_empty_orthant_box(self):
-        res = feasible_point([[1.0]], [-1.0], nonneg=True)
+        res = feasible_point([[1.0]], [-1.0], 1, nonneg=True)
         assert not res.feasible
 
 
@@ -279,11 +279,13 @@ class TestKktMatrix:
 
 
 def initial_working_set_reference(G, h, x, requested, n):
-    """The list rule that ``_initial_working_set`` replaced."""
+    """The list rule that ``_initial_working_set`` replaced; a requested row
+    counts once."""
     active = h - G @ x <= 1e-10 * (1.0 + np.abs(h))
     wset = []
-    if requested is not None:
-        wset = [i for i in requested if 0 <= i < G.shape[0] and active[i]]
+    for i in requested or ():
+        if 0 <= i < G.shape[0] and active[i] and i not in wset:
+            wset.append(i)
     for i in np.flatnonzero(active):
         i = int(i)
         if len(wset) >= n:
@@ -313,3 +315,17 @@ def test_initial_working_set_matches_the_list_rule():
         crowded += int(np.count_nonzero(h - G @ x <= 1e-10 * (1.0 + np.abs(h))) > n)
         duplicated += int(requested is not None and len(set(requested)) < len(requested))
     assert crowded > 50 and duplicated > 50
+
+
+def test_duplicate_requested_rows_count_once():
+    # min x'x - 4(x1 + x2) s.t. x1 + x2 <= 2, x >= 0, from the optimum [1, 1]:
+    # row 0 twice would make the first KKT system singular.
+    problem = QpProblem(Q=np.eye(2), q=[-4.0, -4.0], A=[[1.0, 1.0]], b=[2.0])
+    G, h = problem_rows(problem)
+    H, x0 = 2.0 * problem.Q, np.ones(2)
+    once = qp_module.solve_prepared(H, problem.q, G, h, x0, working_set=(0,))
+    twice = qp_module.solve_prepared(H, problem.q, G, h, x0, working_set=(0, 0))
+    assert once.status is twice.status is QpStatus.OPTIMAL
+    np.testing.assert_array_equal(twice.x, once.x)
+    assert twice.iterations == once.iterations == 1
+    assert twice.working_set == (0,)
