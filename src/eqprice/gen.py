@@ -6,8 +6,8 @@ feasible and X is bounded; guessed prices are uniform in [0, 100].  The
 utility weights, the utility floor and the box bounds have no canonical
 choice, so the generator fixes them (the ``GenConfig`` constants): l uniform in
 (0, 10], M at a fixed fraction (0.9) of the maximum achievable utility
-over X (a small linear program), and box = [0, 100]^n matching the
-guessed-price range.  All randomness flows from one 64-bit seed through
+over X (a small linear program, solved by ``qp.highs_lp``), and
+box = [0, 100]^n matching the guessed-price range.  All randomness flows from one 64-bit seed through
 numpy's PCG64 with one spawned stream per component, so instances are
 bit-reproducible across runs and platforms.
 """
@@ -19,7 +19,7 @@ from typing import ClassVar
 
 import numpy as np
 import numpy.typing as npt
-from scipy.optimize import linprog
+from scipy.linalg.lapack import dpotrf
 
 from .model import (
     AgentCosts,
@@ -30,6 +30,7 @@ from .model import (
     data_issues,
     min_eigenvalue,
 )
+from .qp import highs_lp
 
 FloatArray = npt.NDArray[np.float64]
 
@@ -83,20 +84,21 @@ def pd_from_factor(n: int, rng: np.random.Generator) -> tuple[FloatArray, int]:
     draws, while the product's smallest eigenvalue is below the floor
     ``GenConfig.min_factor_eig``; near-singular products make the
     admissible map step minuscule and the solver's stopping dynamics
-    degenerate.  A shifted Cholesky screens each draw (``_below_floor``)
-    and only the draws it passes get the eigenvalue test, which decides
-    every accept.  The screen never rejects a draw the eigenvalue test
-    accepts, so the instances are identical to testing every draw's
-    eigenvalues.
+    degenerate.  A shifted Cholesky screens each product as drawn
+    (``_below_floor``); only the draws it passes are symmetrized and get
+    the eigenvalue test, which decides every accept.  The screen never
+    rejects a draw the eigenvalue test accepts, so the instances are
+    identical to testing every draw's eigenvalues.
     """
     low, high = GenConfig.factor_range
     min_eig = GenConfig.min_factor_eig
     for redraw in range(500):
         factor = rng.uniform(low, high, size=(n, n))
         product = factor.T @ factor
-        product = 0.5 * (product + product.T)
-        if not _below_floor(product, min_eig) and min_eigenvalue(product) >= min_eig:
-            return product, redraw
+        if not _below_floor(product, min_eig):
+            product = 0.5 * (product + product.T)
+            if min_eigenvalue(product) >= min_eig:
+                return product, redraw
     raise GenerationFailed(f"no factor with eigenvalue floor {min_eig:g} in 500 draws")
 
 
@@ -106,24 +108,24 @@ def _below_floor(product: FloatArray, min_eig: float) -> bool:
     ``product - (min_eig - margin) I`` has no Cholesky factor only if its
     smallest eigenvalue is at most rounding error above zero.  The margin
     is orders of magnitude above the rounding error of Cholesky and of
-    ``eigvalsh``, so a draw the eigenvalue test accepts always factors.
-    A Cholesky factorization costs about a quarter of ``eigvalsh``.
+    ``eigvalsh``, and above the one-ulp asymmetry of an unsymmetrized
+    ``F'F``, so a draw the eigenvalue test accepts always factors.  LAPACK's
+    ``dpotrf`` reads the lower triangle of a copy and reports failure in
+    ``info``; it costs about a quarter of ``eigvalsh``.
     """
     n = product.shape[0]
     margin = 1e-8 * n * (1.0 + float(abs(product).max()))
-    try:
-        np.linalg.cholesky(product - (min_eig - margin) * np.eye(n))
-    except np.linalg.LinAlgError:
-        return True
-    return False
+    shifted = product.copy()
+    shifted.flat[:: n + 1] -= min_eig - margin
+    return dpotrf(shifted, lower=1, clean=0)[1] != 0
 
 
 def max_utility(l: FloatArray, A: FloatArray, b: FloatArray) -> float:
     """max l'x over X = {x >= 0 : Ax <= b} (bounded when A > 0)."""
-    res = linprog(-np.asarray(l, dtype=float), A_ub=A, b_ub=b, bounds=(0.0, None), method="highs")
-    if res.status != 0:
-        raise GenerationFailed(f"utility LP failed: {res.message}")
-    return float(-res.fun)
+    optimal, _, objective, _, status = highs_lp(-np.asarray(l, dtype=float), A, b)
+    if not optimal:
+        raise GenerationFailed(f"utility LP failed: {status}")
+    return -objective
 
 
 def generate(config: GenConfig) -> GeneratedInstance:

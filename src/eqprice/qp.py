@@ -9,7 +9,10 @@ with Q symmetric positive definite, so the minimizer is unique and the
 primal active-set method terminates at a machine-precision KKT point.
 ``check_kkt`` re-derives optimality from scratch (least-squares multiplier
 fit on the active set) and serves as an independent certificate for any
-candidate point, whatever produced it.
+candidate point, whatever produced it.  ``feasible_point`` finds a start
+point, and ``highs_lp`` is the one linear-program entry of the package:
+HiGHS's dual simplex through scipy's binding, without ``linprog``'s
+per-call input checks.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ from enum import Enum
 
 import numpy as np
 import numpy.typing as npt
-from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as _highs
+from scipy.sparse import csc_array
 
 FloatArray = npt.NDArray[np.float64]
 
@@ -30,6 +34,16 @@ FEASIBILITY_TOL = 1e-9
 # Relaxation applied to the right-hand side of rows in a degenerate
 # (linearly dependent) working set before re-solving.
 DEGENERACY_BUMP = 1e-12
+# The HiGHS options that scipy.optimize.linprog(method="highs") sets (the rest
+# it leaves unset or at HiGHS's defaults), and the tolerance of its post-solve
+# check, 10 sqrt(1e-9).
+_LP_OPTIONS = (
+    ("output_flag", False),
+    ("log_to_console", False),
+    ("presolve", "on"),
+    ("simplex_strategy", _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual),
+)
+_LP_TOL = 10.0 * math.sqrt(1e-9)
 
 
 # Largest and smallest entry of a nonempty float array, as a Python float.
@@ -454,29 +468,76 @@ def feasible_point(
     are returned as the certificate.
     """
     G, h = inequality_rows(A, b, floor, nonneg, n)
-    # Nonnegativity goes through linprog bounds, not elastic rows.
+    # Nonnegativity goes through column bounds, not elastic rows.
     n_elastic = G.shape[0] - (n if nonneg else 0)
     x0 = np.zeros(n)
     if _max_violation(G, h, x0) <= FEASIBILITY_TOL:
         return FeasiblePointResult(feasible=True, x=x0)
 
-    G_el = G[:n_elastic]
-    h_el = h[:n_elastic]
-    a_ub = np.hstack([G_el, -np.eye(n_elastic)])
+    a_ub = np.hstack([G[:n_elastic], -np.eye(n_elastic)])
     cost = np.concatenate([np.zeros(n), np.ones(n_elastic)])
-    bounds = [(0.0, None) if nonneg else (None, None)] * n + [(0.0, None)] * n_elastic
-    res = linprog(cost, A_ub=a_ub, b_ub=h_el, bounds=bounds, method="highs")
-    if res.status != 0:
-        raise RuntimeError(f"phase-1 LP failed unexpectedly: {res.message}")
-    if res.fun <= FEASIBILITY_TOL:
-        x = np.asarray(res.x[:n], dtype=float)
+    optimal, x, gap, duals, status = highs_lp(cost, a_ub, h[:n_elastic], free=0 if nonneg else n)
+    if not optimal:
+        raise RuntimeError(f"phase-1 LP failed unexpectedly: {status}")
+    if gap <= FEASIBILITY_TOL:
+        x = x[:n]
         if nonneg:
             x = np.maximum(x, 0.0)
         return FeasiblePointResult(feasible=True, x=x)
-    y = np.maximum(-np.asarray(res.ineqlin.marginals, dtype=float), 0.0)
     cert = np.zeros(G.shape[0])
-    cert[:n_elastic] = y
-    return FeasiblePointResult(feasible=False, certificate=cert, gap=float(res.fun))
+    cert[:n_elastic] = np.maximum(-duals, 0.0)
+    return FeasiblePointResult(feasible=False, certificate=cert, gap=gap)
+
+
+def highs_lp(
+    c: FloatArray, A_ub: FloatArray, b_ub: FloatArray, free: int = 0
+) -> tuple[bool, FloatArray | None, float, FloatArray | None, str]:
+    """Minimize ``c'x`` s.t. ``A_ub x <= b_ub`` and ``x >= 0`` but for the first ``free`` entries.
+
+    Returns ``(optimal, x, objective, row duals, status text)``; ``x`` and
+    the duals are None unless HiGHS reports an optimum.  This is the model,
+    the options and the post-solve check of
+    ``scipy.optimize.linprog(method="highs")``, so the answers are its bits,
+    without the ~1.3 ms per small call it spends on input checks and option
+    managers.
+    """
+    b_ub = np.asarray(b_ub, dtype=float)
+    A = csc_array(np.asarray(A_ub, dtype=float))
+    nrow, ncol = A.shape
+    lower = np.zeros(ncol)
+    lower[:free] = -np.inf
+    lp = _highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = ncol
+    lp.num_row_ = lp.a_matrix_.num_row_ = nrow
+    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = A.indptr
+    lp.a_matrix_.index_ = A.indices
+    lp.a_matrix_.value_ = A.data
+    lp.col_cost_ = np.asarray(c, dtype=float)
+    lp.col_lower_ = lower
+    lp.col_upper_ = np.full(ncol, np.inf)
+    lp.row_lower_ = np.full(nrow, -np.inf)
+    lp.row_upper_ = b_ub
+    highs = _highs._Highs()
+    for option, value in _LP_OPTIONS:
+        highs.setOptionValue(option, value)
+    if highs.passModel(lp) == _highs.HighsStatus.kError:
+        model_status = _highs.HighsModelStatus.kModelError
+    else:
+        highs.run()
+        model_status = highs.getModelStatus()
+    status = highs.modelStatusToString(model_status)
+    if model_status != _highs.HighsModelStatus.kOptimal:
+        return False, None, math.nan, None, status
+    solution = highs.getSolution()
+    x = np.array(solution.col_value)
+    objective = highs.getInfo().objective_function_value
+    slack = b_ub - np.array(solution.row_value)
+    # linprog's _check_result: nothing is NaN, and rows and bounds hold within _LP_TOL.
+    held = objective == objective and (x >= lower - _LP_TOL).all() and (slack >= -_LP_TOL).all()
+    if not held:
+        status = f"{status}, but the check found a NaN or a row or bound violated by over {_LP_TOL:.2e}"
+    return bool(held), x, objective, np.array(solution.row_dual), status
 
 
 def residual_scale(cmax: float, hx: FloatArray) -> float:

@@ -202,10 +202,15 @@ class TestFloorScreen:
         screened = 0
         for _ in range(2000):
             factor = rng.uniform(-10.0, 10.0, size=(n, n))
-            product = factor.T @ factor
-            product = 0.5 * (product + product.T)
-            below = gen._below_floor(product, self.FLOOR)
-            assert not (below and min_eigenvalue(product) >= self.FLOOR)
+            drawn = factor.T @ factor
+            kept = drawn.copy()
+            product = 0.5 * (drawn + drawn.T)
+            accepted = min_eigenvalue(product) >= self.FLOOR
+            # pd_from_factor screens the product as drawn, before symmetrizing.
+            for candidate in (drawn, product):
+                below = gen._below_floor(candidate, self.FLOOR)
+                assert not (below and accepted)
+            np.testing.assert_array_equal(drawn, kept)  # the screen works on a copy
             screened += below
         assert screened > 0  # the screen does reject draws
 
@@ -231,3 +236,8 @@ class TestMaxUtility:
     def test_matches_interval_solution(self):
         # max 2x on {x >= 0, x <= 5} is 10.
         assert np.isclose(max_utility(np.array([2.0]), np.array([[1.0]]), np.array([5.0])), 10.0)
+
+    def test_failure_names_its_status(self):
+        # A zero column of A with positive weight makes the utility unbounded.
+        with pytest.raises(gen.GenerationFailed, match="^utility LP failed: Unbounded$"):
+            max_utility(np.array([1.0, 1.0]), np.array([[1.0, 0.0]]), np.array([1.0]))

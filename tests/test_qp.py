@@ -2,13 +2,19 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from eqprice import qp as qp_module
+from eqprice.cli import trial_seed
+from eqprice.gen import GenConfig, generate
 from eqprice.qp import (
+    FEASIBILITY_TOL,
     QpProblem,
     QpStatus,
     check_kkt,
     feasible_point,
+    highs_lp,
+    inequality_rows,
     problem_rows,
     solve_qp,
 )
@@ -171,6 +177,79 @@ class TestFeasiblePoint:
     def test_negative_rhs_empty_orthant_box(self):
         res = feasible_point([[1.0]], [-1.0], 1, nonneg=True)
         assert not res.feasible
+
+    def test_free_column_reaches_negative_values(self):
+        res = feasible_point([[1.0]], [-1.0], 1, nonneg=False)
+        assert res.feasible
+        assert res.x[0] <= -1.0 + FEASIBILITY_TOL
+
+    def test_free_column_certificate(self):
+        # x <= -1 and -x <= 0 with x free: y >= 0, y'G = 0 and y'h < 0.
+        G = np.array([[1.0], [-1.0]])
+        h = np.array([-1.0, 0.0])
+        res = feasible_point(G, h, 1, nonneg=False)
+        assert not res.feasible
+        y = res.certificate
+        assert np.all(y >= 0.0)
+        assert abs(float(y @ G[:, 0])) <= 1e-9
+        assert float(y @ h) < -1e-6
+
+    def test_lp_failure_names_its_status(self, monkeypatch):
+        monkeypatch.setattr(
+            qp_module, "highs_lp", lambda *args, **kwargs: (False, None, np.nan, None, "Time limit reached")
+        )
+        with pytest.raises(RuntimeError, match="phase-1 LP failed unexpectedly: Time limit reached"):
+            feasible_point([[1.0]], [-1.0], 1)
+
+
+def _elastic_lp(A, b, floor, nonneg, n):
+    """The phase-1 LP that ``feasible_point`` builds: ``(c, A_ub, b_ub, free)``."""
+    G, h = inequality_rows(A, b, floor, nonneg, n)
+    rows = G.shape[0] - (n if nonneg else 0)
+    a_ub = np.hstack([G[:rows], -np.eye(rows)])
+    return np.concatenate([np.zeros(n), np.ones(rows)]), a_ub, h[:rows], 0 if nonneg else n
+
+
+class TestHighsLp:
+    """``highs_lp`` gives ``linprog(method="highs")``'s bits: x, objective and row duals."""
+
+    @staticmethod
+    def assert_same_bits(c, A_ub, b_ub, free=0):
+        optimal, x, objective, duals, _ = highs_lp(c, A_ub, b_ub, free)
+        bounds = [(None, None)] * free + [(0.0, None)] * (len(c) - free)
+        res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
+        assert optimal == (res.status == 0)
+        if optimal:
+            assert np.array_equal(x, res.x)
+            assert objective == res.fun
+            assert np.array_equal(duals, res.ineqlin.marginals)
+        return optimal
+
+    @pytest.mark.parametrize("n, m", [(5, 3), (10, 8), (30, 20), (50, 30)])
+    def test_utility_lps_of_generated_instances(self, n, m):
+        for trial in range(10):
+            instance = generate(GenConfig(n=n, m=m, seed=trial_seed(42, n, m, trial))).instance
+            feasible = instance.feasible
+            assert self.assert_same_bits(-instance.costs.l, feasible.A, feasible.b)
+
+    @pytest.mark.parametrize("nonneg", [True, False])
+    def test_elastic_lps(self, nonneg, rng):
+        outcomes = set()
+        for _ in range(100):
+            n, m = (int(k) for k in rng.integers(1, 8, size=2))
+            A, b = rng.normal(size=(m, n)), rng.normal(size=m)
+            floor = (rng.uniform(0.0, 1.0, n), float(rng.uniform(0.0, 5.0))) if rng.integers(2) else None
+            assert self.assert_same_bits(*_elastic_lp(A, b, floor, nonneg, n))
+            outcomes.add(feasible_point(A, b, n, floor, nonneg).feasible)
+        assert outcomes == {True, False}
+
+    def test_failures_are_named(self):
+        assert highs_lp([-1.0], np.zeros((0, 1)), [])[::4] == (False, "Unbounded")
+        assert highs_lp([1.0], [[1.0], [-1.0]], [-1.0, 0.0])[::4] == (False, "Infeasible")
+        assert highs_lp([1.0], [[1.0]], [np.nan])[::4] == (False, "Model error")
+        optimal, *_, status = highs_lp([np.nan], [[1.0]], [1.0])
+        assert not optimal
+        assert status == "Optimal, but the check found a NaN or a row or bound violated by over 3.16e-04"
 
 
 def dependent_problem() -> QpProblem:
