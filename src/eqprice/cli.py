@@ -21,15 +21,18 @@ from . import __version__
 from .gen import GenConfig, GenerationFailed, generate
 from .maps import ExcessEvaluator, InnerSolveFailed
 from .model import (
+    BOX,
+    ORTHANT,
     InstanceFormatError,
     ModelInstance,
     load_instance,
     validate_instance,
 )
-from .solver import Objective, SolveReport, bilevel_solve, trace_csv_rows
+from .solver import Objective, SolveReport, TraceRow, bilevel_solve, trace_csv_rows
 
-TRACE_HEADER = ("k", "step_residual", "vi_residual", "f_value")
 BENCH_HEADER = ("n", "m", "avg_time_s", "avg_iterations", "trials")
+# The name of the one step rule, 1/sqrt(k+1) (solver.schedule_default).
+SCHEDULE = "sqrt"
 
 
 @dataclass(frozen=True)
@@ -45,9 +48,9 @@ class BenchRow:
 
 
 def _check_schedule(name: str) -> None:
-    """``--schedule`` names the step rule; sqrt, 1/sqrt(k+1), is the only one."""
-    if name != "sqrt":
-        raise ValueError(f"unknown schedule {name!r} (available: sqrt)")
+    """``--schedule`` names the step rule; ``SCHEDULE`` is the only one."""
+    if name != SCHEDULE:
+        raise ValueError(f"unknown schedule {name!r} (available: {SCHEDULE})")
 
 
 def _parse_eta(value: str) -> float | None:
@@ -79,7 +82,7 @@ def _solve_instance(
 def _write_trace(path: Path, report: SolveReport) -> None:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRACE_HEADER)
+        writer.writerow(TraceRow._fields)
         writer.writerows(trace_csv_rows(report.trace))
 
 
@@ -92,7 +95,7 @@ def _report_doc(report: SolveReport, eps: float, eta: float) -> dict:
         "meta": {
             "eps": eps,
             "eta": eta,
-            "schedule": "sqrt",
+            "schedule": SCHEDULE,
             "final_step_residual": report.trace[-1].step_residual if report.trace else None,
             "version": __version__,
         },
@@ -274,7 +277,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         "eta": "auto (2*mu_F)" if args.eta is None else args.eta,
         "weight": args.weight,
         "start": "zero prices",
-        "schedule": "sqrt",
+        "schedule": SCHEDULE,
         "domain": args.domain,
         "trials": args.trials,
         "iteration_limited_trials": limited,
@@ -308,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help=f"projection-map step; 'auto' (default) uses {auto_eta}",
         )
-        p.add_argument("--schedule", default="sqrt", help="step schedule name (sqrt)")
+        p.add_argument("--schedule", default=SCHEDULE, help=f"step schedule name ({SCHEDULE})")
         p.add_argument("--weight", type=float, default=1.0, help="anchor objective weight")
 
     def one_solve(p: argparse.ArgumentParser) -> None:
@@ -333,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--n", required=True, help="comma list of dimensions, e.g. 5,10,30")
     p_bench.add_argument("--m", required=True, help="comma list of row counts, paired with --n")
     p_bench.add_argument("--trials", type=int, default=10)
-    p_bench.add_argument("--domain", choices=("orthant", "box"), default="orthant")
+    p_bench.add_argument("--domain", choices=(ORTHANT, BOX), default=ORTHANT)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--csv", help="write one aggregated row per size here")
     common(p_bench, "2*mu_F, the top of the admissible range")

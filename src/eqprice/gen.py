@@ -22,6 +22,8 @@ import numpy.typing as npt
 from scipy.linalg.lapack import dpotrf
 
 from .model import (
+    BOX,
+    ORTHANT,
     AgentCosts,
     FeasibleSet,
     ModelInstance,
@@ -48,7 +50,7 @@ class GenConfig:
 
     n: int
     m: int
-    domain_kind: str = "orthant"
+    domain_kind: str = ORTHANT
     seed: int = 0
     eta: float | None = None
 
@@ -63,7 +65,7 @@ class GenConfig:
     def __post_init__(self) -> None:
         if self.n < 1 or self.m < 1:
             raise ValueError("n and m must be at least 1")
-        if self.domain_kind not in ("orthant", "box"):
+        if self.domain_kind not in (ORTHANT, BOX):
             raise ValueError(f"domain_kind {self.domain_kind!r} is not 'orthant' or 'box'")
 
 
@@ -162,7 +164,7 @@ def generate(config: GenConfig) -> GeneratedInstance:
 
         utility_cap = max_utility(l, A, b)
         floor = GenConfig.floor_fraction * utility_cap
-        if config.domain_kind == "box":
+        if config.domain_kind == BOX:
             blo, bhi = GenConfig.box_range
             domain = PriceDomain.box(np.full(config.n, blo), np.full(config.n, bhi))
         else:

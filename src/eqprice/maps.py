@@ -28,7 +28,7 @@ import numpy as np
 import numpy.typing as npt
 
 from . import qp
-from .model import ModelInstance
+from .model import ModelInstance, as_price, eta_out_of_range
 
 FloatArray = npt.NDArray[np.float64]
 
@@ -63,7 +63,6 @@ def supply_problem(instance: ModelInstance, p: FloatArray) -> qp.QpProblem:
         q=-np.asarray(p, dtype=float),
         A=instance.feasible.A,
         b=instance.feasible.b,
-        nonneg=True,
     )
 
 
@@ -75,7 +74,6 @@ def demand_problem(instance: ModelInstance, p: FloatArray) -> qp.QpProblem:
         A=instance.feasible.A,
         b=instance.feasible.b,
         floor=(instance.costs.l, instance.costs.M),
-        nonneg=True,
     )
 
 
@@ -221,8 +219,8 @@ class _InnerMap:
 class ExcessEvaluator:
     """Evaluates S, D, F = S - D, the projection map and the VI residual.
 
-    The public methods and the map oracle validate the price once, in
-    ``_price``; everything below them works on validated arrays.
+    The public methods and the map oracle validate the price once, with
+    ``model.as_price``; everything below them works on validated arrays.
     """
 
     def __init__(self, instance: ModelInstance):
@@ -232,33 +230,19 @@ class ExcessEvaluator:
         self._supply = _InnerMap("supply", supply_problem(instance, p0))
         self._demand = _InnerMap("demand", demand_problem(instance, p0))
 
-    def _price(self, p) -> tuple[FloatArray, float]:
-        """The price as a 1-D float array of length n, and its max|p|.
-
-        max|p| is non-finite exactly when some entry is, so it doubles as
-        the finiteness check.
-        """
-        p = np.asarray(p, dtype=float).reshape(-1)
-        if p.shape[0] != self.instance.n:
-            raise ValueError(f"price vector has length {p.shape[0]}, expected {self.instance.n}")
-        pmax = _max(abs(p))
-        if not math.isfinite(pmax):
-            raise ValueError("price vector has non-finite entries")
-        return p, pmax
-
     def supply(self, p) -> FloatArray:
         """Unique maximizer of p'x - x'Cx over X."""
-        p, pmax = self._price(p)
+        p, pmax = as_price(p, self.instance.n)
         return self._supply.evaluate(-p, p, pmax)
 
     def demand(self, p) -> FloatArray:
         """Unique minimizer of p'x + x'Bx over X with l'x >= M."""
-        p, pmax = self._price(p)
+        p, pmax = as_price(p, self.instance.n)
         return self._demand.evaluate(p, -p, pmax)
 
     def evaluate(self, p) -> MapEvaluation:
         """Supply, demand and excess at p."""
-        s, d = self._both(*self._price(p))
+        s, d = self._both(*as_price(p, self.instance.n))
         return MapEvaluation(supply=s, demand=d, excess=s - d)
 
     def _both(self, p: FloatArray, pmax: float) -> tuple[FloatArray, FloatArray]:
@@ -275,9 +259,9 @@ class ExcessEvaluator:
         if eta is None:
             return self.instance.constants.eta
         eta = float(eta)
-        bound = 2.0 * self.instance.constants.mu_F
-        if not 0.0 < eta <= bound + 1e-12:
-            warnings.warn(f"eta = {eta:g} outside (0, {bound:g}]", EtaOutOfRange, stacklevel=3)
+        text = eta_out_of_range(eta, self.instance.constants.mu_F)
+        if text is not None:
+            warnings.warn(text, EtaOutOfRange, stacklevel=3)
         return eta
 
     def _step(self, p: FloatArray, pmax: float, eta: float) -> FloatArray:
@@ -286,19 +270,19 @@ class ExcessEvaluator:
 
     def nat_map(self, p, eta: float | None = None) -> FloatArray:
         """Projected step P_P(p - eta * F(p)); fixed points are equilibria."""
-        return self._step(*self._price(p), self._eta(eta))
+        return self._step(*as_price(p, self.instance.n), self._eta(eta))
 
     def vi_residual(self, p, eta: float | None = None) -> float:
         """Scaled distance ||p - nat_map(p)|| / max(||p||, 1)."""
-        p, pmax = self._price(p)
+        p, pmax = as_price(p, self.instance.n)
         r = p - self._step(p, pmax, self._eta(eta))
         return math.sqrt(r.dot(r)) / max(math.sqrt(p.dot(p)), 1.0)
 
     def map_oracle(self, eta: float | None = None):
         """Closure p -> nat_map(p) for the fixed-point solvers, eta fixed once."""
         eta_val = self._eta(eta)
-        price, step = self._price, self._step
-        return lambda p: step(*price(p), eta_val)
+        n, step = self.instance.n, self._step
+        return lambda p: step(*as_price(p, n), eta_val)
 
     # -- counters ----------------------------------------------------------
 

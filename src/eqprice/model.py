@@ -11,6 +11,7 @@ drive the admissible step of the projection map.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -24,6 +25,7 @@ FloatArray = npt.NDArray[np.float64]
 
 SYMMETRY_TOL = 1e-10
 MIN_EIGENVALUE = 1e-12
+_max = qp._max
 
 ORTHANT = "orthant"
 BOX = "box"
@@ -43,14 +45,26 @@ def _freeze(arr: FloatArray) -> FloatArray:
     return out
 
 
-def as_price(values, n: int | None = None) -> FloatArray:
-    """Validate a price vector: 1-D, finite, optionally of length n."""
+def as_price(values, n: int) -> tuple[FloatArray, float]:
+    """The price as a 1-D float array of length n, and its max|p|.
+
+    max|p| is non-finite exactly when some entry is, so it doubles as the
+    finiteness check.
+    """
     p = np.asarray(values, dtype=float).reshape(-1)
-    if not np.all(np.isfinite(p)):
-        raise ValueError("price vector has non-finite entries")
-    if n is not None and p.shape[0] != n:
+    if p.shape[0] != n:
         raise ValueError(f"price vector has length {p.shape[0]}, expected {n}")
-    return p
+    pmax = _max(abs(p))
+    if not math.isfinite(pmax):
+        raise ValueError("price vector has non-finite entries")
+    return p, pmax
+
+
+def eta_out_of_range(eta: float, mu_F: float) -> str | None:
+    """The warning text for a map step outside (0, 2 mu_F], else None."""
+    if 0.0 < eta <= 2.0 * mu_F + 1e-12:
+        return None
+    return f"eta = {eta:g} outside (0, {2.0 * mu_F:g}]"
 
 
 @dataclass(frozen=True)
@@ -99,11 +113,12 @@ class PriceDomain:
             return lambda p: np.maximum(p, zero)
         return lambda p: np.clip(p, self.lower, self.upper)
 
-    def contains(self, p, tol: float = 1e-12) -> bool:
+    def contains(self, p) -> bool:
+        """Whether p lies in P, to 1e-12."""
         p = np.asarray(p, dtype=float).reshape(-1)
         if self.kind == ORTHANT:
-            return bool(np.all(p >= -tol))
-        return bool(np.all(p >= self.lower - tol) and np.all(p <= self.upper + tol))
+            return bool(np.all(p >= -1e-12))
+        return bool(np.all(p >= self.lower - 1e-12) and np.all(p <= self.upper + 1e-12))
 
 
 @dataclass(frozen=True)
@@ -240,7 +255,7 @@ class ModelInstance:
             raise ValueError("A row count does not match m")
         if self.domain.kind == BOX and self.domain.lower.shape[0] != self.n:
             raise ValueError("box bounds do not match dimension n")
-        p0 = as_price(self.p0, self.n)
+        p0, _ = as_price(self.p0, self.n)
         projected = self.domain.project(p0)
         moved = bool(np.max(np.abs(projected - p0), initial=0.0) > 0.0)
         object.__setattr__(self, "p0", _freeze(projected))
@@ -292,14 +307,9 @@ def data_issues(instance: ModelInstance) -> list[ValidationIssue]:
                 "EmptyFeasibleSet", "b has negative entries, so x = 0 violates Ax <= b"
             )
         )
-    if not 0.0 < c.eta <= 2.0 * c.mu_F + 1e-12:
-        issues.append(
-            ValidationIssue(
-                "EtaOutOfRange",
-                f"eta = {c.eta:g} outside (0, {2.0 * c.mu_F:g}]",
-                severity="warning",
-            )
-        )
+    eta_text = eta_out_of_range(c.eta, c.mu_F)
+    if eta_text is not None:
+        issues.append(ValidationIssue("EtaOutOfRange", eta_text, severity="warning"))
     if instance.p0_projected:
         issues.append(
             ValidationIssue(
@@ -318,15 +328,9 @@ def validate_instance(instance: ModelInstance) -> list[ValidationIssue]:
     by a phase-1 solve, which runs only when b >= 0.
     """
     issues = data_issues(instance)
-    costs = instance.costs
-    if not (instance.feasible.b < 0.0).any():
-        phase1 = qp.feasible_point(
-            instance.feasible.A,
-            instance.feasible.b,
-            floor=(costs.l, costs.M),
-            nonneg=True,
-            n=instance.n,
-        )
+    costs, feasible = instance.costs, instance.feasible
+    if not (feasible.b < 0.0).any():
+        phase1 = qp.feasible_point(feasible.A, feasible.b, instance.n, (costs.l, costs.M))
         if not phase1.feasible:
             issues.append(
                 ValidationIssue(

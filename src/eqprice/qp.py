@@ -3,7 +3,7 @@
 The programs solved here all have the shape
 
     minimize    x' Q x + q' x
-    subject to  A x <= b,  g' x >= M (optional),  x >= 0 (optional)
+    subject to  A x <= b,  g' x >= M (optional),  x >= 0
 
 with Q symmetric positive definite, so the minimizer is unique and the
 primal active-set method terminates at a machine-precision KKT point.
@@ -71,8 +71,7 @@ class QpProblem:
     """One strictly convex QP over a polyhedron.
 
     Objective is ``x' Q x + q' x`` (note: Q itself, not Q/2).  Constraints
-    are ``A x <= b`` plus an optional utility floor ``g' x >= M`` and an
-    optional nonnegativity flag.
+    are ``A x <= b``, an optional utility floor ``g' x >= M`` and ``x >= 0``.
     """
 
     Q: FloatArray
@@ -80,7 +79,6 @@ class QpProblem:
     A: FloatArray
     b: FloatArray
     floor: tuple[FloatArray, float] | None = None
-    nonneg: bool = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "Q", _as_matrix(self.Q, "Q"))
@@ -131,7 +129,7 @@ class FeasiblePointResult:
     When infeasible, ``certificate`` holds nonnegative multipliers over the
     rows of the normalized system ``G x <= h`` (see ``inequality_rows``)
     whose combination proves emptiness: y >= 0, y'G >= 0 on the
-    nonnegative orthant (== 0 for free variables) and y'h < 0.
+    nonnegative orthant and y'h < 0.
     """
 
     feasible: bool
@@ -144,14 +142,13 @@ def inequality_rows(
     A: FloatArray,
     b: FloatArray,
     floor: tuple[FloatArray, float] | None,
-    nonneg: bool,
     n: int,
 ) -> tuple[FloatArray, FloatArray]:
     """Normalize all constraints to ``G x <= h``.
 
     Row order: the rows of A, then the floor row (as -g' x <= -M), then
-    -e_j' x <= 0 for each coordinate when ``nonneg``.  Every row index
-    reported by the solver refers to this ordering.
+    -e_j' x <= 0 for each coordinate.  Every row index reported by the
+    solver refers to this ordering.
     """
     blocks_g = [np.asarray(A, dtype=float).reshape(-1, n)]
     blocks_h = [np.asarray(b, dtype=float).reshape(-1)]
@@ -159,14 +156,13 @@ def inequality_rows(
         g, m_floor = floor
         blocks_g.append(-np.asarray(g, dtype=float).reshape(1, n))
         blocks_h.append(np.array([-float(m_floor)]))
-    if nonneg:
-        blocks_g.append(-np.eye(n))
-        blocks_h.append(np.zeros(n))
+    blocks_g.append(-np.eye(n))
+    blocks_h.append(np.zeros(n))
     return np.vstack(blocks_g), np.concatenate(blocks_h)
 
 
 def problem_rows(problem: QpProblem) -> tuple[FloatArray, FloatArray]:
-    return inequality_rows(problem.A, problem.b, problem.floor, problem.nonneg, problem.n)
+    return inequality_rows(problem.A, problem.b, problem.floor, problem.n)
 
 
 def solve_qp(
@@ -202,7 +198,7 @@ def solve_qp(
         if cand.shape[0] == n and _max_violation(G, h, cand) <= 1e-8 * (1.0 + _hscale(h)):
             x0 = cand
     if x0 is None:
-        phase1 = feasible_point(problem.A, problem.b, n, problem.floor, problem.nonneg)
+        phase1 = feasible_point(problem.A, problem.b, n, problem.floor)
         if not phase1.feasible:
             return QpSolution(
                 x=np.zeros(n),
@@ -458,41 +454,37 @@ def feasible_point(
     b: FloatArray,
     n: int,
     floor: tuple[FloatArray, float] | None = None,
-    nonneg: bool = True,
 ) -> FeasiblePointResult:
-    """Find x with ``Ax <= b`` (2-D A), optional ``g'x >= M`` and optional ``x >= 0``.
+    """Find x >= 0 with ``Ax <= b`` (2-D A) and optional ``g'x >= M``.
 
     Zero when it violates no row by more than ``FEASIBILITY_TOL``, else an
     elastic linear program (minimize total constraint violation); a
     strictly positive optimum proves emptiness and its dual multipliers
     are returned as the certificate.
     """
-    G, h = inequality_rows(A, b, floor, nonneg, n)
+    G, h = inequality_rows(A, b, floor, n)
     # Nonnegativity goes through column bounds, not elastic rows.
-    n_elastic = G.shape[0] - (n if nonneg else 0)
+    n_elastic = G.shape[0] - n
     x0 = np.zeros(n)
     if _max_violation(G, h, x0) <= FEASIBILITY_TOL:
         return FeasiblePointResult(feasible=True, x=x0)
 
     a_ub = np.hstack([G[:n_elastic], -np.eye(n_elastic)])
     cost = np.concatenate([np.zeros(n), np.ones(n_elastic)])
-    optimal, x, gap, duals, status = highs_lp(cost, a_ub, h[:n_elastic], free=0 if nonneg else n)
+    optimal, x, gap, duals, status = highs_lp(cost, a_ub, h[:n_elastic])
     if not optimal:
         raise RuntimeError(f"phase-1 LP failed unexpectedly: {status}")
     if gap <= FEASIBILITY_TOL:
-        x = x[:n]
-        if nonneg:
-            x = np.maximum(x, 0.0)
-        return FeasiblePointResult(feasible=True, x=x)
+        return FeasiblePointResult(feasible=True, x=np.maximum(x[:n], 0.0))
     cert = np.zeros(G.shape[0])
     cert[:n_elastic] = np.maximum(-duals, 0.0)
     return FeasiblePointResult(feasible=False, certificate=cert, gap=gap)
 
 
 def highs_lp(
-    c: FloatArray, A_ub: FloatArray, b_ub: FloatArray, free: int = 0
+    c: FloatArray, A_ub: FloatArray, b_ub: FloatArray
 ) -> tuple[bool, FloatArray | None, float, FloatArray | None, str]:
-    """Minimize ``c'x`` s.t. ``A_ub x <= b_ub`` and ``x >= 0`` but for the first ``free`` entries.
+    """Minimize ``c'x`` s.t. ``A_ub x <= b_ub`` and ``x >= 0``.
 
     Returns ``(optimal, x, objective, row duals, status text)``; ``x`` and
     the duals are None unless HiGHS reports an optimum.  This is the model,
@@ -505,7 +497,6 @@ def highs_lp(
     A = csc_array(np.asarray(A_ub, dtype=float))
     nrow, ncol = A.shape
     lower = np.zeros(ncol)
-    lower[:free] = -np.inf
     lp = _highs.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = ncol
     lp.num_row_ = lp.a_matrix_.num_row_ = nrow

@@ -248,21 +248,18 @@ def km_fixed_point(
     map_oracle: Callable[[FloatArray], FloatArray],
     domain: PriceDomain,
     start: FloatArray,
-    theta: float = 0.5,
     eps: float = 1e-8,
     max_iter: int = 10_000,
 ) -> FloatArray:
-    """Averaged fixed-point iteration p <- (1-theta) p + theta T(p).
+    """Averaged fixed-point iteration p <- p/2 + T(p)/2.
 
-    Converges for any theta in (0,1) when T is nonexpansive with fixed
-    points; which fixed point it finds depends on the start.  Raises
-    IterationLimitError if the step residual never drops below eps.
+    Converges when T is nonexpansive with fixed points; which fixed point
+    it finds depends on the start.  Raises IterationLimitError if the step
+    residual never drops below eps.
     """
-    if not 0.0 < theta < 1.0:
-        raise ValueError("theta must lie in (0, 1)")
     p = domain.project(np.asarray(start, dtype=float))
     for _ in range(max_iter):
-        p_next = (1.0 - theta) * p + theta * map_oracle(p)
+        p_next = 0.5 * p + 0.5 * map_oracle(p)
         residual = float(np.linalg.norm(p_next - p) / max(np.linalg.norm(p_next), 1.0))
         p = p_next
         if residual < eps:
@@ -270,14 +267,6 @@ def km_fixed_point(
     raise IterationLimitError(f"no fixed point within {max_iter} iterations (eps={eps:g})")
 
 
-def trace_csv_rows(trace: Sequence[TraceRow]) -> list[tuple[str, str, str, str]]:
-    """Render trace rows as strings with full round-trip precision."""
-    return [
-        (
-            str(row.k),
-            format(row.step_residual, ".17g"),
-            format(row.vi_residual, ".17g"),
-            format(row.f_value, ".17g"),
-        )
-        for row in trace
-    ]
+def trace_csv_rows(trace: Sequence[TraceRow]) -> list[tuple[str, ...]]:
+    """Render trace rows as strings, one per field, with full round-trip precision."""
+    return [(str(row.k), *(format(v, ".17g") for v in row[1:])) for row in trace]

@@ -16,7 +16,7 @@ from eqprice.qp import QpProblem
 
 
 def constraint_rows(problem: QpProblem) -> tuple[np.ndarray, np.ndarray]:
-    """All rows as G x <= h: A rows, floor row (negated), nonneg rows."""
+    """All rows as G x <= h: A rows, floor row (negated), sign rows."""
     n = problem.n
     rows = [np.asarray(problem.A, dtype=float).reshape(-1, n)]
     rhs = [np.asarray(problem.b, dtype=float).reshape(-1)]
@@ -24,9 +24,8 @@ def constraint_rows(problem: QpProblem) -> tuple[np.ndarray, np.ndarray]:
         g, floor_val = problem.floor
         rows.append(-np.asarray(g, dtype=float).reshape(1, n))
         rhs.append(np.array([-float(floor_val)]))
-    if problem.nonneg:
-        rows.append(-np.eye(n))
-        rhs.append(np.zeros(n))
+    rows.append(-np.eye(n))
+    rhs.append(np.zeros(n))
     return np.vstack(rows), np.concatenate(rhs)
 
 
@@ -90,5 +89,5 @@ def random_qp(rng: np.random.Generator, with_floor: bool | None = None):
     if with_floor if with_floor is not None else bool(rng.integers(0, 2)):
         g = np.abs(rng.normal(size=n)) + 0.05
         floor = (g, float(g @ z - rng.uniform(0.1, 1.0)))
-    problem = QpProblem(Q=Q, q=q, A=A, b=b, floor=floor, nonneg=True)
+    problem = QpProblem(Q=Q, q=q, A=A, b=b, floor=floor)
     return problem, z

@@ -8,7 +8,6 @@ from eqprice import qp as qp_module
 from eqprice.cli import trial_seed
 from eqprice.gen import GenConfig, generate
 from eqprice.qp import (
-    FEASIBILITY_TOL,
     QpProblem,
     QpStatus,
     check_kkt,
@@ -22,7 +21,7 @@ from oracles import constraint_rows, enumerate_qp, random_qp
 
 
 def box_problem(q_val: float, floor=None) -> QpProblem:
-    return QpProblem(Q=[[1.0]], q=[q_val], A=[[1.0]], b=[10.0], floor=floor, nonneg=True)
+    return QpProblem(Q=[[1.0]], q=[q_val], A=[[1.0]], b=[10.0], floor=floor)
 
 
 class TestSolveQp:
@@ -50,9 +49,7 @@ class TestSolveQp:
         np.testing.assert_allclose(sol.x, [10.0], atol=1e-10)
 
     def test_infeasible_returns_certificate(self):
-        problem = QpProblem(
-            Q=[[1.0]], q=[0.0], A=[[1.0]], b=[1.0], floor=([1.0], 2.0), nonneg=True
-        )
+        problem = QpProblem(Q=[[1.0]], q=[0.0], A=[[1.0]], b=[1.0], floor=([1.0], 2.0))
         sol = solve_qp(problem)
         assert sol.status is QpStatus.INFEASIBLE
         assert sol.certificate is not None
@@ -87,7 +84,6 @@ class TestSolveQp:
             q=[-4.0, -4.0],
             A=[[1.0, 1.0], [1.0, 1.0]],
             b=[2.0, 2.0],
-            nonneg=True,
         )
         sol = solve_qp(problem)
         assert sol.status is QpStatus.OPTIMAL
@@ -144,21 +140,19 @@ class TestCheckKkt:
         assert check_kkt(box_problem(-4.0), [0.0]) >= 4.0 - 1e-8
 
     def test_interior_residual_is_gradient_norm(self):
-        problem = QpProblem(
-            Q=np.eye(2), q=[0.0, 0.0], A=np.zeros((0, 2)), b=[], nonneg=False
-        )
+        problem = QpProblem(Q=np.eye(2), q=[0.0, 0.0], A=np.zeros((0, 2)), b=[])
         x = np.array([0.3, 0.4])
         np.testing.assert_allclose(check_kkt(problem, x), np.linalg.norm(2 * x))
 
 
 class TestFeasiblePoint:
     def test_interval_intersection(self):
-        res = feasible_point([[1.0]], [10.0], 1, floor=([1.0], 2.0), nonneg=True)
+        res = feasible_point([[1.0]], [10.0], 1, floor=([1.0], 2.0))
         assert res.feasible
         assert 2.0 - 1e-9 <= res.x[0] <= 10.0 + 1e-9
 
     def test_contradictory_floor(self):
-        res = feasible_point([[1.0]], [1.0], 1, floor=([1.0], 2.0), nonneg=True)
+        res = feasible_point([[1.0]], [1.0], 1, floor=([1.0], 2.0))
         assert not res.feasible
         assert res.gap > 0.5
         # y >= 0 with y'G >= 0 on x >= 0 and y'h < 0 proves emptiness.
@@ -170,29 +164,13 @@ class TestFeasiblePoint:
         assert float(y[:2] @ h) < -1e-6
 
     def test_unconstrained_nonneg_returns_zero(self):
-        res = feasible_point(np.zeros((0, 1)), [], 1, nonneg=True)
+        res = feasible_point(np.zeros((0, 1)), [], 1)
         assert res.feasible
         np.testing.assert_allclose(res.x, [0.0])
 
     def test_negative_rhs_empty_orthant_box(self):
-        res = feasible_point([[1.0]], [-1.0], 1, nonneg=True)
+        res = feasible_point([[1.0]], [-1.0], 1)
         assert not res.feasible
-
-    def test_free_column_reaches_negative_values(self):
-        res = feasible_point([[1.0]], [-1.0], 1, nonneg=False)
-        assert res.feasible
-        assert res.x[0] <= -1.0 + FEASIBILITY_TOL
-
-    def test_free_column_certificate(self):
-        # x <= -1 and -x <= 0 with x free: y >= 0, y'G = 0 and y'h < 0.
-        G = np.array([[1.0], [-1.0]])
-        h = np.array([-1.0, 0.0])
-        res = feasible_point(G, h, 1, nonneg=False)
-        assert not res.feasible
-        y = res.certificate
-        assert np.all(y >= 0.0)
-        assert abs(float(y @ G[:, 0])) <= 1e-9
-        assert float(y @ h) < -1e-6
 
     def test_lp_failure_names_its_status(self, monkeypatch):
         monkeypatch.setattr(
@@ -202,22 +180,21 @@ class TestFeasiblePoint:
             feasible_point([[1.0]], [-1.0], 1)
 
 
-def _elastic_lp(A, b, floor, nonneg, n):
-    """The phase-1 LP that ``feasible_point`` builds: ``(c, A_ub, b_ub, free)``."""
-    G, h = inequality_rows(A, b, floor, nonneg, n)
-    rows = G.shape[0] - (n if nonneg else 0)
+def _elastic_lp(A, b, floor, n):
+    """The phase-1 LP that ``feasible_point`` builds: ``(c, A_ub, b_ub)``."""
+    G, h = inequality_rows(A, b, floor, n)
+    rows = G.shape[0] - n
     a_ub = np.hstack([G[:rows], -np.eye(rows)])
-    return np.concatenate([np.zeros(n), np.ones(rows)]), a_ub, h[:rows], 0 if nonneg else n
+    return np.concatenate([np.zeros(n), np.ones(rows)]), a_ub, h[:rows]
 
 
 class TestHighsLp:
     """``highs_lp`` gives ``linprog(method="highs")``'s bits: x, objective and row duals."""
 
     @staticmethod
-    def assert_same_bits(c, A_ub, b_ub, free=0):
-        optimal, x, objective, duals, _ = highs_lp(c, A_ub, b_ub, free)
-        bounds = [(None, None)] * free + [(0.0, None)] * (len(c) - free)
-        res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    def assert_same_bits(c, A_ub, b_ub):
+        optimal, x, objective, duals, _ = highs_lp(c, A_ub, b_ub)
+        res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=(0.0, None), method="highs")
         assert optimal == (res.status == 0)
         if optimal:
             assert np.array_equal(x, res.x)
@@ -232,15 +209,14 @@ class TestHighsLp:
             feasible = instance.feasible
             assert self.assert_same_bits(-instance.costs.l, feasible.A, feasible.b)
 
-    @pytest.mark.parametrize("nonneg", [True, False])
-    def test_elastic_lps(self, nonneg, rng):
+    def test_elastic_lps(self, rng):
         outcomes = set()
         for _ in range(100):
             n, m = (int(k) for k in rng.integers(1, 8, size=2))
             A, b = rng.normal(size=(m, n)), rng.normal(size=m)
             floor = (rng.uniform(0.0, 1.0, n), float(rng.uniform(0.0, 5.0))) if rng.integers(2) else None
-            assert self.assert_same_bits(*_elastic_lp(A, b, floor, nonneg, n))
-            outcomes.add(feasible_point(A, b, n, floor, nonneg).feasible)
+            assert self.assert_same_bits(*_elastic_lp(A, b, floor, n))
+            outcomes.add(feasible_point(A, b, n, floor).feasible)
         assert outcomes == {True, False}
 
     def test_failures_are_named(self):
@@ -264,7 +240,6 @@ def dependent_problem() -> QpProblem:
         q=[-4.0, -4.0],
         A=np.array([[1.0, 1.0], [1.0, 1.0], [2.0, 2.0]]),
         b=np.array([2.0, 2.0, 4.0]),
-        nonneg=True,
     )
 
 

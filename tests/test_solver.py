@@ -373,10 +373,6 @@ class TestKmFixedPoint:
         with pytest.raises(IterationLimitError):
             km_fixed_point(ev.map_oracle(), combined_1d.domain, [100.0], eps=1e-12, max_iter=5)
 
-    def test_rejects_bad_theta(self):
-        with pytest.raises(ValueError):
-            km_fixed_point(identity_oracle, PriceDomain.orthant(), [1.0], theta=1.0)
-
 
 class TestObjective:
     def test_default_moduli(self):
