@@ -132,12 +132,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
+        # Building the oracle and the objective checks --eta and --weight.
         with warnings.catch_warnings():
             warnings.showwarning = _print_warning  # as 'warning: Code: text'
             report = _solve_instance(
                 instance, args.eps, args.max_iter, args.eta, args.weight, args.trace_every
             )
-    except InnerSolveFailed as exc:
+    except (ValueError, InnerSolveFailed) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.command == "trace":

@@ -259,6 +259,8 @@ class ExcessEvaluator:
         if eta is None:
             return self.instance.constants.eta
         eta = float(eta)
+        if not math.isfinite(eta):
+            raise ValueError("eta must be finite")
         text = eta_out_of_range(eta, self.instance.constants.mu_F)
         if text is not None:
             warnings.warn(text, EtaOutOfRange, stacklevel=3)

@@ -230,6 +230,8 @@ def compute_constants(costs: AgentCosts, eta: float | None = None) -> ModelConst
     eta = float(eta)
     if not 0.0 < eta:
         raise ValueError("eta must be positive")
+    if not math.isfinite(eta):
+        raise ValueError("eta must be finite")
     return ModelConstants(mu_c=mu_c, mu_t=mu_t, mu_F=mu_f, L_c=1.0 / mu_c, L_t=1.0 / mu_t, eta=eta)
 
 
@@ -325,12 +327,18 @@ def validate_instance(instance: ModelInstance) -> list[ValidationIssue]:
     """Report violated invariants; an empty list means the instance is sound.
 
     ``data_issues`` plus nonemptiness of the demand set {x in X : l'x >= M}
-    by a phase-1 solve, which runs only when b >= 0.
+    by a phase-1 solve, which runs only when b >= 0.  A phase-1 LP that
+    HiGHS rejects (an entry of magnitude 1e15 or more, or a bound past its
+    1e20 infinity) is an error too.
     """
     issues = data_issues(instance)
     costs, feasible = instance.costs, instance.feasible
     if not (feasible.b < 0.0).any():
-        phase1 = qp.feasible_point(feasible.A, feasible.b, instance.n, (costs.l, costs.M))
+        try:
+            phase1 = qp.feasible_point(feasible.A, feasible.b, instance.n, (costs.l, costs.M))
+        except RuntimeError as exc:
+            issues.append(ValidationIssue("Phase1Failed", str(exc)))
+            return issues
         if not phase1.feasible:
             issues.append(
                 ValidationIssue(
@@ -364,7 +372,7 @@ def instance_from_json(doc: dict) -> ModelInstance:
     def number(key: str) -> float:
         try:
             return float(doc[key])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InstanceFormatError(f"key '{key}' is not a number: {exc}") from exc
 
     def count(key: str) -> int:
@@ -378,7 +386,7 @@ def instance_from_json(doc: dict) -> ModelInstance:
     def matrix(key: str, rows: int, cols: int) -> FloatArray:
         try:
             arr = np.asarray(doc[key], dtype=float)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InstanceFormatError(f"key '{key}' is not numeric: {exc}") from exc
         if rows == 0 and arr.size == 0:
             return np.zeros((0, cols))
@@ -389,13 +397,15 @@ def instance_from_json(doc: dict) -> ModelInstance:
     def vector(key: str, length: int, source: dict = doc) -> FloatArray:
         try:
             arr = np.asarray(source[key], dtype=float).reshape(-1)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InstanceFormatError(f"key '{key}' is not numeric: {exc}") from exc
         if arr.shape[0] != length:
             raise InstanceFormatError(f"key '{key}' must have length {length}")
         return arr
 
     n, m = count("n"), count("m")
+    if n == 0:
+        raise InstanceFormatError("key 'n' must be at least 1")
     dom = doc["domain"]
     if not isinstance(dom, dict) or "kind" not in dom:
         raise InstanceFormatError("key 'domain' must be an object with a 'kind'")

@@ -60,6 +60,8 @@ class Objective:
             raise ValueError("anchor p0 has non-finite entries")
         if not self.weight > 0.0:
             raise ValueError("weight must be positive")
+        if not math.isfinite(self.weight):
+            raise ValueError("weight must be finite")
         p0.setflags(write=False)
         object.__setattr__(self, "p0", p0)
         object.__setattr__(self, "weight", float(self.weight))

@@ -188,6 +188,63 @@ class TestSolveCommand:
         assert capsys.readouterr().err == stderr
 
 
+    # Each of these inputs once ended in a Python traceback; now each prints
+    # one error line and exits 1, from solve and from trace alike.
+    @pytest.mark.parametrize(
+        "edits, options, stderr",
+        [
+            ({}, ["--weight", "0"], "error: weight must be positive\n"),
+            ({}, ["--weight", "-1"], "error: weight must be positive\n"),
+            ({}, ["--weight", "nan"], "error: weight must be positive\n"),
+            ({}, ["--weight", "inf"], "error: weight must be finite\n"),
+            ({}, ["--eta", "inf"], "error: eta must be finite\n"),
+            ({}, ["--eta", "nan"], "error: eta must be finite\n"),
+            ({"eta": float("inf")}, [], "error: eta must be finite\n"),
+            (
+                {"n": 0, "m": 0, "C": [], "B": [], "l": [], "A": [], "b": [], "p0": []},
+                [],
+                "error: key 'n' must be at least 1\n",
+            ),
+            (
+                {"M": 1e25},
+                [],
+                "error: Phase1Failed: phase-1 LP failed unexpectedly: Model error\n",
+            ),
+            (
+                {"A": [[1e25]]},
+                [],
+                "error: Phase1Failed: phase-1 LP failed unexpectedly: Model error\n",
+            ),
+            ({"M": 10**400}, [], "error: key 'M' is not a number: int too large to convert to float\n"),
+        ],
+        ids=[
+            "weight-zero",
+            "weight-negative",
+            "weight-nan",
+            "weight-inf",
+            "eta-inf",
+            "eta-nan",
+            "file-eta-inf",
+            "n-zero",
+            "huge-floor",
+            "huge-A",
+            "huge-integer",
+        ],
+    )
+    @pytest.mark.parametrize("command", ["solve", "trace"])
+    def test_bad_input_prints_one_error_line(self, tmp_path, capsys, command, edits, options, stderr):
+        doc = {"n": 1, "m": 1, "C": [[1.0]], "B": [[1.0]], "l": [1.0], "M": 2.0,
+               "A": [[1.0]], "b": [10.0], "domain": {"kind": "orthant"}, "p0": [1.0]}
+        doc.update(edits)
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "trace.csv"
+        extra = ["--csv", str(out)] if command == "trace" else []
+        assert main([command, str(path), *options, *extra]) == 1
+        assert capsys.readouterr().err == stderr
+        assert not out.exists()
+
+
 class TestTraceCommand:
     def test_trace_reaches_default_threshold(self, combined_path, tmp_path):
         out = tmp_path / "trace.csv"

@@ -1,11 +1,16 @@
 """Model data types, derived constants, validation and the JSON schema."""
 
+import copy
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqprice import maps
+from eqprice.gen import GenConfig, random_instance
 from eqprice.model import (
     AgentCosts,
     FeasibleSet,
@@ -13,7 +18,9 @@ from eqprice.model import (
     ModelInstance,
     NotPositiveDefinite,
     PriceDomain,
+    ValidationIssue,
     compute_constants,
+    data_issues,
     instance_from_json,
     instance_to_json,
     validate_instance,
@@ -246,3 +253,87 @@ class TestJsonSchema:
                 PriceDomain.orthant(),
                 [4.0],
             )
+
+
+class TestSharedRules:
+    """A rule that the model and the maps both apply gives one verdict, in one text."""
+
+    @pytest.mark.parametrize(
+        "eta_of_mu, warns",
+        [
+            (lambda mu: 2.0 * mu, False),
+            (lambda mu: 2.0 * mu + 1e-13, False),
+            (lambda mu: 2.0 * mu + 1e-11, True),
+            (lambda mu: 10.0 * mu, True),
+        ],
+        ids=["2mu", "2mu+1e-13", "2mu+1e-11", "10mu"],
+    )
+    def test_eta_range_reads_the_same(self, eta_of_mu, warns):
+        base = make_combined_1d()
+        eta = eta_of_mu(base.constants.mu_F)
+        inst = ModelInstance.build(base.costs, base.feasible, base.domain, base.p0, eta=eta)
+        issues = [issue.message for issue in data_issues(inst) if issue.code == "EtaOutOfRange"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            maps.ExcessEvaluator(base).map_oracle(eta=eta)
+        assert [str(w.message) for w in caught] == issues
+        assert len(issues) == warns
+
+    @pytest.mark.parametrize(
+        "price", [[1.0, 2.0], [np.nan], [np.inf]], ids=["length", "nan", "inf"]
+    )
+    def test_price_check_reads_the_same(self, price):
+        base = make_combined_1d()
+        with pytest.raises(ValueError) as built:
+            ModelInstance.build(base.costs, base.feasible, base.domain, price)
+        with pytest.raises(ValueError) as evaluated:
+            maps.ExcessEvaluator(base).supply(price)
+        assert str(built.value) == str(evaluated.value)
+
+
+_VALID_DOC = instance_to_json(random_instance(GenConfig(n=5, m=3, seed=11)))
+# Magnitudes past what HiGHS (1e15 in a matrix, 1e20 in a bound) or float()
+# accept, and non-finite numbers.
+_EXTREMES = [1e25, 10**400, -1e25, 1e15, 1e300, np.nan, np.inf, -np.inf]
+_ARRAYS = ["A", "B", "C", "b", "l", "p0"]
+_ODD_VALUES = st.one_of(
+    st.sampled_from(_EXTREMES),
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-2, 6),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.text(max_size=2),
+        st.lists(st.floats(-10.0, 10.0), max_size=6),
+        st.lists(st.lists(st.floats(-10.0, 10.0), max_size=6), max_size=6),
+        st.fixed_dictionaries({"kind": st.sampled_from(["orthant", "box", "simplex"])}),
+    ),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_loader_and_validation_raise_only_instance_format_errors(data):
+    """Mutations of a valid 5/3 document: one entry of an array replaced, or
+    a key replaced or dropped.  Loading raises InstanceFormatError or
+    builds an instance, whose validation returns findings."""
+    doc = copy.deepcopy(_VALID_DOC)
+    for _ in range(data.draw(st.integers(1, 2))):
+        action = data.draw(st.sampled_from(["entry", "entry", "replace", "drop"]))
+        keys = _ARRAYS if action == "entry" else sorted(_VALID_DOC)
+        key = data.draw(st.sampled_from([k for k in keys if k in doc] or ["n"]))
+        if action == "drop":
+            doc.pop(key, None)
+        elif action == "replace" or not isinstance(doc[key], list) or not doc[key]:
+            doc[key] = data.draw(_ODD_VALUES)
+        else:
+            row = doc[key]
+            i = data.draw(st.integers(0, len(row) - 1))
+            if isinstance(row[i], list) and row[i]:
+                row, i = row[i], data.draw(st.integers(0, len(row[i]) - 1))
+            row[i] = data.draw(_ODD_VALUES)
+    try:
+        instance = instance_from_json(doc)
+    except InstanceFormatError:
+        return
+    assert all(isinstance(issue, ValidationIssue) for issue in validate_instance(instance))
