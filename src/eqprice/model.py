@@ -458,7 +458,7 @@ def instance_to_json(instance: ModelInstance) -> dict:
 def load_instance(path) -> ModelInstance:
     try:
         doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past Python's digit limit
         raise InstanceFormatError(f"invalid JSON: {exc}") from exc
     return instance_from_json(doc)
 

@@ -17,14 +17,35 @@ per-call input checks.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
+from importlib.machinery import EXTENSION_SUFFIXES
+from pathlib import Path
 
 import numpy as np
 import numpy.typing as npt
-from scipy.optimize._highspy import _core as _highs
-from scipy.sparse import csc_array
+
+
+def _load_highs():
+    """scipy's HiGHS binding, loaded by file (by name, ``scipy.optimize`` would load
+    ``scipy.sparse`` and ``scipy.linalg`` first) under its own name, so that a later
+    ``import scipy.optimize`` shares it: pybind11 refuses to run it twice."""
+    name = "scipy.optimize._highspy._core"
+    if name not in sys.modules:
+        scipy = importlib.util.find_spec("scipy")
+        if scipy is None:
+            raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+        path = Path(scipy.origin).parent / "optimize" / "_highspy" / f"_core{EXTENSION_SUFFIXES[0]}"
+        spec = importlib.util.spec_from_file_location(name, path)
+        sys.modules[name] = module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return sys.modules[name]
+
+
+_highs = _load_highs()
 
 FloatArray = npt.NDArray[np.float64]
 
@@ -494,18 +515,15 @@ def highs_lp(
     managers.
     """
     b_ub = np.asarray(b_ub, dtype=float)
-    A = csc_array(np.asarray(A_ub, dtype=float))
+    A = np.asarray(A_ub, dtype=float)
     nrow, ncol = A.shape
-    lower = np.zeros(ncol)
     lp = _highs.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = ncol
     lp.num_row_ = lp.a_matrix_.num_row_ = nrow
     lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = A.indptr
-    lp.a_matrix_.index_ = A.indices
-    lp.a_matrix_.value_ = A.data
+    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = _colwise(A)
     lp.col_cost_ = np.asarray(c, dtype=float)
-    lp.col_lower_ = lower
+    lp.col_lower_ = np.zeros(ncol)
     lp.col_upper_ = np.full(ncol, np.inf)
     lp.row_lower_ = np.full(nrow, -np.inf)
     lp.row_upper_ = b_ub
@@ -525,10 +543,17 @@ def highs_lp(
     objective = highs.getInfo().objective_function_value
     slack = b_ub - np.array(solution.row_value)
     # linprog's _check_result: nothing is NaN, and rows and bounds hold within _LP_TOL.
-    held = objective == objective and (x >= lower - _LP_TOL).all() and (slack >= -_LP_TOL).all()
+    held = objective == objective and (x >= -_LP_TOL).all() and (slack >= -_LP_TOL).all()
     if not held:
         status = f"{status}, but the check found a NaN or a row or bound violated by over {_LP_TOL:.2e}"
     return bool(held), x, objective, np.array(solution.row_dual), status
+
+
+def _colwise(A: FloatArray) -> tuple[npt.NDArray[np.intp], npt.NDArray[np.intp], FloatArray]:
+    """``csc_array(A)``'s ``indptr``, ``indices`` and ``data``: the entries that
+    are not 0 (NaN is kept, -0.0 is not), by column, then by row."""
+    cols, rows = (A.T != 0).nonzero()
+    return np.searchsorted(cols, np.arange(A.shape[1] + 1)), rows, A[rows, cols]
 
 
 def residual_scale(cmax: float, hx: FloatArray) -> float:

@@ -173,7 +173,7 @@ def bilevel_solve(
     domain : PriceDomain
         Price set P with closed-form projection.
     eps : float
-        Stop when ||p_{k+1} - p_k|| / max(||p_{k+1}||, 1) < eps.
+        Stop when ||p_{k+1} - p_k|| / max(||p_{k+1}||, 1) < eps; finite, >= 0.
     max_iter : int
         Iteration cap; the report then carries ITER_LIMIT.
     start : array, optional
@@ -192,6 +192,8 @@ def bilevel_solve(
         machine precision (the current iterate already minimizes f on P
         and is fixed under T), CONVERGED on the step rule, else ITER_LIMIT.
     """
+    if not 0.0 <= eps < math.inf:
+        raise ValueError("eps must be finite and nonnegative")
     rule = schedule_default().lambda_of  # alpha_of is the same rule
     p0, weight = objective.p0, objective.weight
     p = domain.project(start if start is not None else p0)

@@ -216,6 +216,9 @@ class TestSolveCommand:
                 "error: Phase1Failed: phase-1 LP failed unexpectedly: Model error\n",
             ),
             ({"M": 10**400}, [], "error: key 'M' is not a number: int too large to convert to float\n"),
+            ({}, ["--eps", "nan"], "error: eps must be finite and nonnegative\n"),
+            ({}, ["--eps", "-1"], "error: eps must be finite and nonnegative\n"),
+            ({}, ["--eps", "inf"], "error: eps must be finite and nonnegative\n"),
         ],
         ids=[
             "weight-zero",
@@ -229,6 +232,9 @@ class TestSolveCommand:
             "huge-floor",
             "huge-A",
             "huge-integer",
+            "eps-nan",
+            "eps-negative",
+            "eps-inf",
         ],
     )
     @pytest.mark.parametrize("command", ["solve", "trace"])
@@ -300,6 +306,16 @@ class TestBenchCommand:
     def test_unequal_lists_exit_one(self, capsys):
         assert main(["bench", "--n", "2,3", "--m", "1"]) == 1
         assert "equal length" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("eps", ["nan", "-1"])
+    def test_bad_eps_exits_one_without_csv(self, tmp_path, capsys, eps):
+        out = tmp_path / "out.csv"
+        code = main(["bench", "--n", "2", "--m", "1", "--trials", "1", "--eps", eps, "--csv", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: eps must be finite and nonnegative\n"
+        assert not out.exists()
 
     def test_generation_failure_exits_one_without_csv(self, tmp_path, capsys):
         # No draw admits eta = 1e9, so all 100 attempts fail quickly.

@@ -23,6 +23,7 @@ from eqprice.model import (
     data_issues,
     instance_from_json,
     instance_to_json,
+    load_instance,
     validate_instance,
 )
 from conftest import make_combined_1d
@@ -184,6 +185,17 @@ class TestJsonSchema:
         del doc["C"]
         with pytest.raises(InstanceFormatError, match="'C'"):
             instance_from_json(doc)
+
+    def test_integer_past_the_digit_limit_is_a_format_error(self, combined_1d, tmp_path):
+        # json.loads refuses integer literals of over 4,300 digits with a plain
+        # ValueError (Python 3.10.7 on; before that, float() overflows).
+        doc = instance_to_json(combined_1d)
+        doc["M"] = 0
+        text = json.dumps(doc).replace('"M": 0', '"M": ' + "9" * 5000)
+        path = tmp_path / "instance.json"
+        path.write_text(text)
+        with pytest.raises(InstanceFormatError, match="4300 digits|key 'M'"):
+            load_instance(path)
 
     def test_wrong_shape_is_named(self, combined_1d):
         doc = instance_to_json(combined_1d)

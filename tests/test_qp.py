@@ -1,8 +1,14 @@
 """Active-set solver, KKT checker and phase-1 tests."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
+from scipy.sparse import csc_array
 
 from eqprice import qp as qp_module
 from eqprice.cli import trial_seed
@@ -219,6 +225,28 @@ class TestHighsLp:
             outcomes.add(feasible_point(A, b, n, floor).feasible)
         assert outcomes == {True, False}
 
+    # (c, A_ub, b_ub) with a zero column, -0.0 entries, a NaN entry and no rows.
+    EDGE_LPS = {
+        "zero-column": ([-1.0, 1.0, -1.0], [[1.0, 0.0, 2.0], [3.0, 0.0, 1.0]], [4.0, 6.0]),
+        "negative-zeros": ([-1.0, -1.0], [[1.0, -0.0], [-0.0, 2.0]], [1.0, 2.0]),
+        "nan-entry": ([-1.0, -1.0], [[1.0, np.nan], [2.0, 1.0]], [1.0, 2.0]),
+        "empty": ([1.0, 2.0], np.zeros((0, 2)), []),
+    }
+
+    @pytest.mark.parametrize("name", EDGE_LPS)
+    def test_matrix_is_passed_as_csc_array_stores_it(self, name):
+        A = np.asarray(self.EDGE_LPS[name][1], dtype=float)
+        start, index, value = qp_module._colwise(A)
+        expected = csc_array(A)
+        assert np.array_equal(start, expected.indptr)
+        assert np.array_equal(index, expected.indices)
+        assert np.array_equal(value, expected.data, equal_nan=True)
+
+    # linprog rejects a NaN entry, so "nan-entry" is checked above only.
+    @pytest.mark.parametrize("name", ["zero-column", "negative-zeros", "empty"])
+    def test_edge_lps(self, name):
+        assert self.assert_same_bits(*self.EDGE_LPS[name])
+
     def test_failures_are_named(self):
         assert highs_lp([-1.0], np.zeros((0, 1)), [])[::4] == (False, "Unbounded")
         assert highs_lp([1.0], [[1.0], [-1.0]], [-1.0, 0.0])[::4] == (False, "Infeasible")
@@ -226,6 +254,44 @@ class TestHighsLp:
         optimal, *_, status = highs_lp([np.nan], [[1.0]], [1.0])
         assert not optimal
         assert status == "Optimal, but the check found a NaN or a row or bound violated by over 3.16e-04"
+
+
+# Child-process scripts: ``import eqprice`` loads scipy's HiGHS extension by
+# file, and one module object serves both eqprice and scipy.optimize in
+# either import order.
+_ECHO_FOOTPRINT = """
+import sys
+import eqprice, eqprice.cli
+print(sorted({"scipy.optimize", "scipy.sparse", "scipy.linalg"} & set(sys.modules)))
+"""
+_SHARED_EXTENSION = """
+import sys
+if sys.argv[1] == "scipy-first":
+    import scipy.optimize
+from eqprice import qp
+from scipy.optimize import linprog
+assert linprog([-1.0], A_ub=[[1.0]], b_ub=[2.0], method="highs").x[0] == 2.0
+assert qp._highs is sys.modules["scipy.optimize._highspy._core"]
+"""
+
+
+class TestImportFootprint:
+    @staticmethod
+    def run(*args):
+        src = str(Path(qp_module.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        out = subprocess.run(
+            [sys.executable, "-c", *args], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert out.returncode == 0, out.stderr
+        return out.stdout
+
+    def test_import_leaves_out_scipy_optimize_sparse_and_linalg(self):
+        assert self.run(_ECHO_FOOTPRINT) == "[]\n"
+
+    @pytest.mark.parametrize("order", ["eqprice-first", "scipy-first"])
+    def test_one_highs_module_in_either_order(self, order):
+        self.run(_SHARED_EXTENSION, order)
 
 
 def dependent_problem() -> QpProblem:
