@@ -10,7 +10,9 @@ are exactly the equilibrium prices, which makes the scaled distance
 ``vi_residual`` a computable merit for candidate equilibria.
 
 An ``ExcessEvaluator`` owns all per-solve state: the warm start and the
-last optimal basis of each inner program.  While a basis stays optimal the
+last optimal working set of each inner program.  The rows of each program
+(``H``, ``G``, ``h``) depend only on the instance and are shared, read-only,
+by all of its evaluators.  While a basis stays optimal the
 minimizer is affine in p (the critical region of a parametric QP), so the
 cached piece answers directly once it passes one KKT certificate (its
 matrix is inverted lazily, behind a cheap screen).  Construct one evaluator
@@ -22,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import warnings
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +40,7 @@ CERTIFY_TOL = 1e-8
 # once) cannot overflow below it unless a cached entry exceeds about 1e50.
 PIECE_PMAX = 1e100
 _max, _min = qp._max, qp._min
+_ROWS: dict[tuple[int, str], tuple[FloatArray, FloatArray, FloatArray]] = {}
 
 
 class InnerSolveFailed(RuntimeError):
@@ -77,47 +81,60 @@ def demand_problem(instance: ModelInstance, p: FloatArray) -> qp.QpProblem:
     )
 
 
+def _shared_rows(instance: ModelInstance, kind: str, problem: qp.QpProblem):
+    """Read-only ``(H, G, h)`` of ``problem``, built once per instance and kind; the
+    ``_ROWS`` entry goes as the instance is collected, before its id is reused."""
+    key = (id(instance), kind)
+    if key not in _ROWS:
+        rows = (problem.Q + problem.Q.T, *qp.problem_rows(problem))
+        for a in rows:
+            a.flags.writeable = False
+        _ROWS[key] = rows
+        weakref.finalize(instance, _ROWS.pop, key, None)
+    return _ROWS[key]
+
+
 class _InnerMap:
     """``problem`` as a parametric QP in its linear term: ``c = -p`` for
     supply and ``c = p`` for demand.
 
     Until a solve succeeds, ``qp.solve_qp`` starts it cold (zero when
     feasible, else a phase-1 point); later solves warm-start from the last
-    solution and working set.  The last optimal solve's KKT matrix is
-    inverted at the first price whose solve of it passes ``_screen``; while
+    solution and working set.  Only the last optimal solve's working set is
+    kept; its KKT matrix is rebuilt from the instance's shared rows and
+    inverted at the first price whose solve of it passes ``_screen``.  While
     that basis stays optimal, a new price costs a few small matrix-vector
     products plus one certificate check.
     """
 
-    def __init__(self, kind: str, problem: qp.QpProblem):
+    def __init__(self, kind: str, problem: qp.QpProblem, instance: ModelInstance):
         self.kind = kind
         self.problem = problem
-        self.H = problem.Q + problem.Q.T
-        self.G, self.h = qp.problem_rows(problem)
+        self.H, self.G, self.h = _shared_rows(instance, kind, problem)
         self.hscale = 1.0 + qp._hscale(self.h)
         self.last_x: FloatArray | None = None
         self.last_wset: tuple[int, ...] | None = None
-        self._kkt = None  # (KKT matrix, working set) of the last solve, not yet inverted
-        self._basis = None  # (K_x, c_x, K_l, c_l, G_w_T)
+        self._pending: list[int] | None = None  # working set of the last solve, not yet inverted
+        self._basis = None  # (K_x, c_x, K_l, c_l, G_w_T), each at most n x max(n, w)
         self.solves = 0
         self.fast_hits = 0
         self.iterations = 0
         self.inversions = 0
 
-    def _refresh_basis(self, sol: qp.QpSolution) -> None:
-        # A compact copy: sol.kkt is a view into the solver's (n + rows)^2 buffer.
-        self._kkt = (np.array(sol.kkt), list(sol.working_set))
-        self._basis = None
+    def _pending_system(self) -> tuple[FloatArray, FloatArray, FloatArray]:
+        """KKT matrix, rows and right-hand side of the pending working set."""
+        Gw = self.G[self._pending]
+        return qp.kkt_matrix(self.H, Gw), Gw, self.h[self._pending]
 
     def _screen(self, neg_c: FloatArray) -> bool:
         """Whether the pending piece can be optimal at linear term -neg_c: one
         solve of its KKT system, tested 1000x looser than ``_try_basis``."""
-        kkt, idx = self._kkt
+        kkt, _, hw = self._pending_system()
         n = self.H.shape[0]
         try:
-            z = np.linalg.solve(kkt, np.concatenate((neg_c, self.h[idx])))
+            z = np.linalg.solve(kkt, np.concatenate((neg_c, hw)))
         except np.linalg.LinAlgError:  # inv would raise on the same matrix
-            self._kkt = None
+            self._pending = None
             return False
         x, lam = z[:n], z[n:]
         if lam.size and not _min(lam) >= -1e-6 * (1.0 + _max(abs(lam))):
@@ -125,22 +142,21 @@ class _InnerMap:
         return _max(self.G.dot(x) - self.h) <= 1e-6 * self.hscale * (1.0 + _max(abs(x)))
 
     def _invert(self) -> None:
-        # inv copies the KKT matrix to Fortran order; a view of it as G_w_T
-        # would have strides that take another BLAS kernel.
-        (kkt, idx), self._kkt = self._kkt, None
+        # Copies of the two blocks in use let the inverse go.  A view of the
+        # KKT matrix as G_w_T would have strides that take another BLAS kernel.
+        (kkt, Gw, hw), self._pending = self._pending_system(), None
         n = self.H.shape[0]
         self.inversions += 1
         try:
             inv = np.linalg.inv(kkt)
         except np.linalg.LinAlgError:
             return
-        hw = self.h[idx]
         self._basis = (
-            inv[:n, :n],
+            inv[:n, :n].copy(),
             inv[:n, n:] @ hw,
-            inv[n:, :n],
+            inv[n:, :n].copy(),
             inv[n:, n:] @ hw,
-            self.G[idx].T,
+            Gw.T,
         )
 
     def _try_basis(self, c: FloatArray, neg_c: FloatArray, cmax: float) -> FloatArray | None:
@@ -153,9 +169,9 @@ class _InnerMap:
         certified to ``CERTIFY_TOL``.  Each test is written so
         that NaN fails it, as a non-finite price can make the piece NaN.
         """
-        if cmax > PIECE_PMAX or self._kkt is not None and not self._screen(neg_c):
+        if cmax > PIECE_PMAX or self._pending is not None and not self._screen(neg_c):
             return None
-        if self._kkt is not None:
+        if self._pending is not None:
             self._invert()
         if self._basis is None:
             return None
@@ -212,7 +228,7 @@ class _InnerMap:
             )
         self.last_x = sol.x
         self.last_wset = sol.working_set
-        self._refresh_basis(sol)
+        self._pending, self._basis = list(sol.working_set), None
         return sol.x
 
 
@@ -227,8 +243,8 @@ class ExcessEvaluator:
         self.instance = instance
         self._project = instance.domain.projector(instance.n)
         p0 = np.zeros(instance.n)
-        self._supply = _InnerMap("supply", supply_problem(instance, p0))
-        self._demand = _InnerMap("demand", demand_problem(instance, p0))
+        self._supply = _InnerMap("supply", supply_problem(instance, p0), instance)
+        self._demand = _InnerMap("demand", demand_problem(instance, p0), instance)
 
     def supply(self, p) -> FloatArray:
         """Unique maximizer of p'x - x'Cx over X."""

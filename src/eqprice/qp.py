@@ -140,7 +140,7 @@ class QpSolution:
     status: QpStatus
     working_set: tuple[int, ...] = ()
     certificate: FloatArray | None = None
-    kkt: FloatArray | None = None  # read-only [[2Q, Gw'], [Gw, 0]] of working_set
+    multipliers: FloatArray | None = None  # per row of inequality_rows, 0 off working_set
 
 
 @dataclass(frozen=True)
@@ -250,25 +250,35 @@ def solve_prepared(
     """
     if max_iter is None:
         max_iter = 50 * (H.shape[0] + G.shape[0])
-    x, lam, wset, iters, status, kkt = _active_set(H, c, G, h, x0, working_set, max_iter)
+    x, lam, wset, iters, status = _active_set(H, c, G, h, x0, working_set, max_iter)
     residual = math.inf
-    if status is not QpStatus.OVERFLOW:  # its residual would overflow too
-        residual = _kkt_residual_on_set(H, c, G, h, x, lam, wset)
+    if status is not QpStatus.OVERFLOW:  # its residual would overflow too; w = 0 there
+        residual, lam = _kkt_residual_on_set(H, c, G, h, x, lam, wset)
     if status is QpStatus.OPTIMAL and not residual <= DEFAULT_TOL * residual_scale(
         _max(abs(c)), H.dot(x)
     ):
         status = QpStatus.INACCURATE
-    m = H.shape[0] + len(wset)
-    kkt = kkt[:m, :m]
-    kkt.flags.writeable = False
+    multipliers = np.zeros(G.shape[0])
+    multipliers[wset] = lam
     return QpSolution(
         x=x,
         kkt_residual=residual,
         iterations=iters,
         status=status,
         working_set=tuple(wset),
-        kkt=kkt,
+        multipliers=multipliers,
     )
+
+
+def kkt_matrix(H: FloatArray, Gw: FloatArray, size: int | None = None) -> FloatArray:
+    """``[[H, Gw'], [Gw, 0]]``, the KKT matrix of working-set rows ``Gw``, in the
+    leading block of a ``size``-square zero buffer (default: just that block)."""
+    n, w = H.shape[0], Gw.shape[0]
+    kkt = np.zeros((n + w if size is None else size,) * 2)
+    kkt[:n, :n] = H
+    kkt[n : n + w, :n] = Gw
+    kkt[:n, n : n + w] = Gw.T
+    return kkt
 
 
 def _active_set(
@@ -279,10 +289,10 @@ def _active_set(
     x0: FloatArray,
     working_set: tuple[int, ...] | None,
     max_iter: int,
-) -> tuple[FloatArray, FloatArray, list[int], int, QpStatus, FloatArray]:
-    """Primal active-set loop.  Returns (x, multipliers, set, iters, status, KKT).
+) -> tuple[FloatArray, FloatArray, list[int], int, QpStatus]:
+    """Primal active-set loop.  Returns (x, multipliers, set, iters, status).
 
-    The KKT matrix ``[[H, Gw'], [Gw, 0]]`` of the working set lives in one
+    The KKT matrix ``kkt_matrix(H, Gw)`` of the working set lives in one
     buffer, written in place as rows join and leave: the step solves on its
     leading ``n + w`` block, ``rhs`` holds ``[-grad; 0]`` and ``free`` marks
     the rows outside the working set.
@@ -293,11 +303,7 @@ def _active_set(
     x = x0.copy()
     wset = _initial_working_set(G, h, x, working_set, n)
     size = n + G.shape[0]  # a working set never holds a row twice
-    kkt = np.zeros((size, size))
-    kkt[:n, :n] = H
-    Gw = G[wset]
-    kkt[n : n + len(wset), :n] = Gw
-    kkt[:n, n : n + len(wset)] = Gw.T
+    kkt = kkt_matrix(H, G[wset], size)
     rhs = np.zeros(size)
     free = np.ones(G.shape[0], dtype=bool)
     free[wset] = False
@@ -328,7 +334,7 @@ def _active_set(
         dmax = _max(abs(d))
         # Only w = 0 (H positive definite) passes a non-finite step: overflow.
         if not math.isfinite(dmax):
-            return x, lam, wset, it, QpStatus.OVERFLOW, kkt
+            return x, lam, wset, it, QpStatus.OVERFLOW
         at_optimum = dmax <= 1e-12 * (1.0 + _max(abs(x)))
         if not at_optimum:
             # Ratio test over rows not in the working set.
@@ -354,15 +360,15 @@ def _active_set(
         # Optimal unless some working-set multiplier is clearly negative;
         # otherwise drop the row with the most negative one.
         if lam.size == 0:
-            return x, lam, wset, it, QpStatus.OPTIMAL, kkt
+            return x, lam, wset, it, QpStatus.OPTIMAL
         k = lam.argmin()
         if lam.item(k) >= -1e-10 * (1.0 + grad_scale):
-            return x, lam, wset, it, QpStatus.OPTIMAL, kkt
+            return x, lam, wset, it, QpStatus.OPTIMAL
         free[wset.pop(k)] = True
         # Shift the later rows up by one: the working set keeps its order.
         kkt[n + k : m - 1, :n] = kkt[n + k + 1 : m, :n]
         kkt[:n, n + k : m - 1] = kkt[:n, n + k + 1 : m]
-    return x, lam, wset, it, QpStatus.ITER_LIMIT, kkt
+    return x, lam, wset, it, QpStatus.ITER_LIMIT
 
 
 def _initial_working_set(
@@ -418,8 +424,9 @@ def _kkt_residual_on_set(
     x: FloatArray,
     lam: FloatArray,
     wset: list[int],
-) -> float:
-    """KKT residual of the active-set iterate, with the solver's multipliers.
+) -> tuple[float, FloatArray]:
+    """KKT residual of the active-set iterate, with the solver's multipliers,
+    and those multipliers (refit when the loop stopped mid-update).
 
     This is not ``check_kkt``, and the two are kept apart on purpose.  This
     residual uses the working set and multipliers the solver ended with, and
@@ -440,10 +447,8 @@ def _kkt_residual_on_set(
         neg = float(max(0.0, -lam.min()))
         comp = float(np.max(np.abs(lam * (Gw @ x - h[wset])), initial=0.0))
     else:
-        stat = grad
-        neg = 0.0
-        comp = 0.0
-    return max(primal, float(np.linalg.norm(stat)), neg, comp)
+        stat, lam, neg, comp = grad, np.zeros(0), 0.0, 0.0
+    return max(primal, float(np.linalg.norm(stat)), neg, comp), lam
 
 
 def check_kkt(problem: QpProblem, x: FloatArray) -> float:
@@ -512,17 +517,20 @@ def highs_lp(
     the options and the post-solve check of
     ``scipy.optimize.linprog(method="highs")``, so the answers are its bits,
     without the ~1.3 ms per small call it spends on input checks and option
-    managers.
+    managers.  Like ``linprog``, it raises ``ValueError`` on a NaN or
+    infinite entry, which HiGHS would solve around.
     """
-    b_ub = np.asarray(b_ub, dtype=float)
-    A = np.asarray(A_ub, dtype=float)
+    c, A, b_ub = (np.asarray(v, dtype=float) for v in (c, A_ub, b_ub))
+    for name, v in (("c", c), ("A_ub", A), ("b_ub", b_ub)):
+        if not np.isfinite(v).all():
+            raise ValueError(f"{name} must not contain values inf or nan")
     nrow, ncol = A.shape
     lp = _highs.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = ncol
     lp.num_row_ = lp.a_matrix_.num_row_ = nrow
     lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
     lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = _colwise(A)
-    lp.col_cost_ = np.asarray(c, dtype=float)
+    lp.col_cost_ = c
     lp.col_lower_ = np.zeros(ncol)
     lp.col_upper_ = np.full(ncol, np.inf)
     lp.row_lower_ = np.full(nrow, -np.inf)

@@ -2,6 +2,7 @@
 
 import collections
 import copy
+import gc
 import hashlib
 import json
 import os
@@ -364,7 +365,7 @@ class TestEvaluatorCaching:
             for step in range(30):
                 pmax = float(np.max(np.abs(p)))
                 for inner, c in ((ev._supply, -p), (ev._demand, p)):
-                    if inner._kkt is not None:
+                    if inner._pending is not None:
                         forced = copy.copy(inner)
                         forced._invert()
                         exact = forced._try_basis(c, -c, pmax) is not None
@@ -470,6 +471,85 @@ class TestEvaluatorCaching:
 @pytest.fixture(scope="module")
 def generated():
     return random_instance(GenConfig(n=4, m=3, seed=11))
+
+
+class TestEvaluatorFootprint:
+    """What an evaluator keeps: working sets, compact basis blocks and rows
+    shared with every evaluator of its instance."""
+
+    @staticmethod
+    def instance(n=50, m=30, trial=0) -> ModelInstance:
+        return random_instance(GenConfig(n=n, m=m, seed=trial_seed(42, n, m, trial)))
+
+    def test_pending_piece_is_a_working_set_and_the_basis_is_compact(self):
+        inst = self.instance()
+        ev = ExcessEvaluator(inst)
+        ev.evaluate(inst.p0)
+        n = inst.n
+        for inner in (ev._supply, ev._demand):
+            assert inner._basis is None
+            assert type(inner._pending) is list
+            assert all(type(i) is int for i in inner._pending)
+            own = {k for k, v in vars(inner).items() if isinstance(v, np.ndarray)}
+            assert own == {"H", "G", "h", "last_x"}
+            w = len(inner._pending)
+            inner._invert()
+            assert inner._pending is None and inner.inversions == 1
+            assert len(inner._basis) == 5
+            for block in inner._basis:
+                assert block.size <= n * max(n, w)
+                assert block.base is None or block.base.size == block.size
+        # The compact basis answers as the pending one did: a repeat price is
+        # a fast hit with the cold solve's answer to the certificate's scale.
+        first = ev.evaluate(inst.p0)
+        assert ev.fast_hits == 2
+        cold = ExcessEvaluator(inst).evaluate(inst.p0)
+        np.testing.assert_allclose(first.supply, cold.supply, rtol=0, atol=1e-7)
+        np.testing.assert_allclose(first.demand, cold.demand, rtol=0, atol=1e-7)
+
+    def test_rows_are_shared_per_instance_and_read_only(self):
+        inst = self.instance(10, 8)
+        one, two = ExcessEvaluator(inst), ExcessEvaluator(inst)
+        for kind, build in (("_supply", maps.supply_problem), ("_demand", maps.demand_problem)):
+            a, b = getattr(one, kind), getattr(two, kind)
+            problem = build(inst, inst.p0)
+            G, h = qp.problem_rows(problem)
+            for name, expected in (("H", problem.Q + problem.Q.T), ("G", G), ("h", h)):
+                assert getattr(a, name) is getattr(b, name)
+                assert not getattr(a, name).flags.writeable
+                np.testing.assert_array_equal(getattr(a, name), expected)
+        assert one._supply.G.shape[0] + 1 == one._demand.G.shape[0]  # the floor row
+        other = ExcessEvaluator(self.instance(10, 8, trial=1))
+        assert other._supply.G is not one._supply.G
+
+    def test_rows_are_dropped_with_their_instance(self):
+        inst = self.instance(5, 3)
+        ev = ExcessEvaluator(inst)
+        ev.evaluate(inst.p0)
+        key = id(inst)
+        assert {(key, "supply"), (key, "demand")} <= set(maps._ROWS)
+        del inst, ev
+        gc.collect()
+        assert not [k for k in maps._ROWS if k[0] == key]
+
+    def test_a_reused_id_gets_its_own_rows(self):
+        # Each instance dies before the next is built, so CPython hands the
+        # same id to several of them; each evaluator must see its own b.
+        ids = []
+        for k in range(1, 21):
+            inst = ModelInstance.build(
+                AgentCosts(C=[[1.0]], B=[[1.0]], l=[1.0], M=0.5),
+                FeasibleSet(A=[[1.0]], b=[float(k)]),
+                PriceDomain.orthant(),
+                [0.0],
+            )
+            ids.append(id(inst))
+            ev = ExcessEvaluator(inst)
+            assert ev._supply.h[0] == ev._demand.h[0] == k
+            # Supply at p = 100 is clip(p / 2, 0, b) = b.
+            np.testing.assert_allclose(ev.supply([100.0]), [float(k)], rtol=1e-12)
+            del inst, ev
+        assert len(set(ids)) < len(ids)
 
 
 class TestLemmaProperties:

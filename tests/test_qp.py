@@ -1,5 +1,6 @@
 """Active-set solver, KKT checker and phase-1 tests."""
 
+import collections
 import os
 import subprocess
 import sys
@@ -242,18 +243,37 @@ class TestHighsLp:
         assert np.array_equal(index, expected.indices)
         assert np.array_equal(value, expected.data, equal_nan=True)
 
-    # linprog rejects a NaN entry, so "nan-entry" is checked above only.
+    # Both reject the NaN entry of "nan-entry"; see test_non_finite_input_is_rejected.
     @pytest.mark.parametrize("name", ["zero-column", "negative-zeros", "empty"])
     def test_edge_lps(self, name):
         assert self.assert_same_bits(*self.EDGE_LPS[name])
 
+    # One NaN or infinite entry in each argument of a 2-variable LP that is
+    # optimal without it.  HiGHS solves around such an entry: a NaN in A_ub
+    # or an infinite b_ub came back "optimal".
+    @pytest.mark.parametrize(
+        "name, c, A_ub, b_ub",
+        [
+            ("c", [np.nan, -1.0], [[1.0, 0.0], [2.0, 1.0]], [1.0, 2.0]),
+            ("c", [-1.0, -np.inf], [[1.0, 0.0], [2.0, 1.0]], [1.0, 2.0]),
+            ("A_ub", [-1.0, -1.0], [[1.0, np.nan], [2.0, 1.0]], [1.0, 2.0]),
+            ("A_ub", [-1.0, -1.0], [[1.0, 0.0], [np.inf, 1.0]], [1.0, 2.0]),
+            ("b_ub", [-1.0, -1.0], [[1.0, 0.0], [2.0, 1.0]], [1.0, np.nan]),
+            ("b_ub", [-1.0, -1.0], [[1.0, 0.0], [2.0, 1.0]], [1.0, np.inf]),
+            ("b_ub", [-1.0, -1.0], [[1.0, 0.0], [2.0, 1.0]], [-np.inf, 2.0]),
+        ],
+    )
+    def test_non_finite_input_is_rejected(self, name, c, A_ub, b_ub):
+        with pytest.raises(ValueError, match=f"{name} must not contain"):
+            linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=(0.0, None), method="highs")
+        with pytest.raises(ValueError, match=f"^{name} must not contain values inf or nan$"):
+            highs_lp(c, A_ub, b_ub)
+
     def test_failures_are_named(self):
         assert highs_lp([-1.0], np.zeros((0, 1)), [])[::4] == (False, "Unbounded")
         assert highs_lp([1.0], [[1.0], [-1.0]], [-1.0, 0.0])[::4] == (False, "Infeasible")
-        assert highs_lp([1.0], [[1.0]], [np.nan])[::4] == (False, "Model error")
-        optimal, *_, status = highs_lp([np.nan], [[1.0]], [1.0])
-        assert not optimal
-        assert status == "Optimal, but the check found a NaN or a row or bound violated by over 3.16e-04"
+        # HiGHS rejects matrix entries of magnitude 1e15 and more.
+        assert highs_lp([1.0], [[1e16]], [1.0])[::4] == (False, "Model error")
 
 
 # Child-process scripts: ``import eqprice`` loads scipy's HiGHS extension by
@@ -355,47 +375,127 @@ class TestReductions:
 
 
 class TestKktMatrix:
-    """``QpSolution.kkt`` is the KKT matrix of the returned working set."""
+    """``qp.kkt_matrix`` is the one statement of the KKT layout."""
 
     @staticmethod
-    def hand_built(problem: QpProblem, working_set) -> np.ndarray:
-        G, _ = problem_rows(problem)
-        n, w = problem.n, len(working_set)
-        Gw = G[list(working_set)]
+    def hand_built(H: np.ndarray, Gw: np.ndarray) -> np.ndarray:
+        n, w = H.shape[0], Gw.shape[0]
         kkt = np.zeros((n + w, n + w))
-        kkt[:n, :n] = problem.Q + problem.Q.T
+        kkt[:n, :n] = H
         kkt[n:, :n] = Gw
         kkt[:n, n:] = Gw.T
         return kkt
 
-    def test_kkt_is_the_returned_working_sets_matrix(self, monkeypatch):
+    def test_matches_the_hand_built_matrix(self):
+        rng = np.random.default_rng(19)
+        for n, w in [(1, 0), (1, 1), (3, 0), (3, 2), (4, 4), (6, 3)]:
+            H, Gw = rng.normal(size=(n, n)), rng.normal(size=(w, n))
+            Gw[:, 0] = -0.0  # -0.0 keeps its sign, as in the sign rows
+            kkt = qp_module.kkt_matrix(H, Gw)
+            assert kkt.flags.c_contiguous
+            np.testing.assert_array_equal(kkt, self.hand_built(H, Gw))
+            assert np.array_equal(np.signbit(kkt), np.signbit(self.hand_built(H, Gw)))
+            padded = qp_module.kkt_matrix(H, Gw, n + w + 3)
+            np.testing.assert_array_equal(padded[: n + w, : n + w], kkt)
+            assert not padded[n + w :].any() and not padded[:, n + w :].any()
+
+    def test_is_what_the_last_step_of_an_optimal_solve_factorized(self, monkeypatch):
         # Every solve runs at several iteration caps, so the loop also stops
         # right after a row joins or leaves.  The recorded step sizes show
-        # that row drops and the bump reset both occur.
+        # that row drops and the bump reset both occur, so the matrix the
+        # loop updates in place is compared after adds, drops and resets.
         kkt_step = qp_module._kkt_step
-        sizes: list[list[int]] = []
+        factorized: list[list[np.ndarray | None]] = []
 
         def recording_step(kkt, *args):
             step = kkt_step(kkt, *args)
-            sizes[-1].append(-1 if step is None else kkt.shape[0])
+            factorized[-1].append(None if step is None else kkt.copy())
             return step
 
         monkeypatch.setattr(qp_module, "_kkt_step", recording_step)
         rng = np.random.default_rng(17)
         cases = [(random_qp(rng)[0], None) for _ in range(100)]
         cases.append((dependent_problem(), np.array([1.0, 1.0])))
-        statuses = set()
+        statuses = collections.Counter()
         for problem, start in cases:
+            G, _ = problem_rows(problem)
+            H = problem.Q + problem.Q.T
             for max_iter in (1, 2, 3, 5, None):
-                sizes.append([])
+                factorized.append([])
                 sol = solve_qp(problem, max_iter=max_iter, start=start)
-                statuses.add(sol.status)
-                np.testing.assert_array_equal(sol.kkt, self.hand_built(problem, sol.working_set))
-                assert not sol.kkt.flags.writeable
-        assert statuses == {QpStatus.OPTIMAL, QpStatus.ITER_LIMIT}
+                statuses[sol.status] += 1
+                if sol.status is QpStatus.OPTIMAL:
+                    kkt = qp_module.kkt_matrix(H, G[list(sol.working_set)])
+                    assert np.array_equal(factorized[-1][-1], kkt)
+                    assert np.array_equal(np.signbit(factorized[-1][-1]), np.signbit(kkt))
+        assert set(statuses) == {QpStatus.OPTIMAL, QpStatus.ITER_LIMIT}
+        assert statuses[QpStatus.OPTIMAL] > 300
+        sizes = [[-1 if m is None else m.shape[0] for m in run] for run in factorized]
         steps = [pair for run in sizes for pair in zip(run, run[1:])]
         assert any(0 < b < a for a, b in steps), "no row was dropped"
         assert any(a == -1 for a, _ in steps), "no bump reset"
+
+
+class TestMultipliers:
+    """``QpSolution.multipliers``: one per row of ``inequality_rows``."""
+
+    def test_optimal_multipliers_are_the_least_squares_fit(self):
+        # check_kkt's fit: the rows within 1e-7 of active at x, and least
+        # squares on grad + G_a' lam = 0.
+        rng = np.random.default_rng(29)
+        for _ in range(200):
+            problem, _ = random_qp(rng)
+            sol = solve_qp(problem)
+            assert sol.status is QpStatus.OPTIMAL
+            G, h = problem_rows(problem)
+            active = np.flatnonzero(G @ sol.x - h >= -1e-7 * (1.0 + np.abs(h)))
+            fit = np.zeros(G.shape[0])
+            if active.size:
+                fit[active] = np.linalg.lstsq(G[active].T, -problem.gradient(sol.x), rcond=None)[0]
+            np.testing.assert_allclose(sol.multipliers, fit, rtol=0.0, atol=1e-9)
+            # Every active row is in the working set, so the two fits agree.
+            assert set(active.tolist()) <= set(sol.working_set)
+            assert (sol.multipliers >= -1e-9).all()
+
+    def test_loop_multipliers_are_kept_or_refit(self, monkeypatch):
+        # A stop right after a row joins or leaves leaves the loop's
+        # multipliers one short or one long: those are refit on the set by
+        # least squares.  Otherwise they are the loop's own, bit for bit.
+        active_set = qp_module._active_set
+        returned = []
+
+        def recording(*args):
+            returned.append(active_set(*args))
+            return returned[-1]
+
+        monkeypatch.setattr(qp_module, "_active_set", recording)
+        rng = np.random.default_rng(31)
+        kinds = collections.Counter()
+        for _ in range(100):
+            problem, _ = random_qp(rng)
+            G, _ = problem_rows(problem)
+            for max_iter in (1, 2, 3, None):
+                sol = solve_qp(problem, max_iter=max_iter)
+                x, lam, wset, *_ = returned[-1]
+                assert wset == list(sol.working_set)
+                assert sol.multipliers.shape == (G.shape[0],)
+                assert not np.delete(sol.multipliers, wset).any()
+                if not wset:
+                    kinds["empty"] += 1
+                    continue
+                if lam.size != len(wset):
+                    grad = (problem.Q + problem.Q.T) @ x + problem.q
+                    lam = np.linalg.lstsq(G[wset].T, -grad, rcond=None)[0]
+                    kinds["refit"] += 1
+                else:
+                    kinds["kept"] += 1
+                assert np.array_equal(sol.multipliers[wset], lam)
+        assert min(kinds["empty"], kinds["refit"], kinds["kept"]) > 20, kinds
+
+    def test_infeasible_has_none(self):
+        problem = QpProblem(Q=[[1.0]], q=[0.0], A=[[1.0]], b=[-1.0])
+        sol = solve_qp(problem)
+        assert sol.status is QpStatus.INFEASIBLE and sol.multipliers is None
 
 
 def initial_working_set_reference(G, h, x, requested, n):
