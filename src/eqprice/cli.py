@@ -53,6 +53,14 @@ def _check_schedule(name: str) -> None:
         raise ValueError(f"unknown schedule {name!r} (available: {SCHEDULE})")
 
 
+def _check_outputs(args: argparse.Namespace, *options: str) -> None:
+    """Refuse an output path in a missing directory before any work is done."""
+    for option in options:
+        path = getattr(args, option, None)
+        if path and not Path(path).parent.is_dir():
+            raise FileNotFoundError(f"--{option}: directory {Path(path).parent} does not exist")
+
+
 def _parse_eta(value: str) -> float | None:
     if value == "auto":
         return None
@@ -128,6 +136,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         skip = ("EtaOutOfRange",) if args.eta is not None else ()
         instance = _load_and_validate(args.instance, skip)
         _check_schedule(args.schedule)
+        _check_outputs(args, "out", "trace", "csv")
     except (InstanceFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -193,6 +202,8 @@ def run_bench(
         raise ValueError("size lists must be nonempty")
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
     rows: list[BenchRow] = []
     limited = 0
     for n, m in zip(n_list, m_list):
@@ -255,6 +266,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         n_list = [int(v) for v in args.n.split(",") if v]
         m_list = [int(v) for v in args.m.split(",") if v]
         _check_schedule(args.schedule)
+        _check_outputs(args, "csv")
         rows, limited = run_bench(
             n_list,
             m_list,
@@ -267,7 +279,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             weight=args.weight,
             log=sys.stderr,
         )
-    except (ValueError, InnerSolveFailed, GenerationFailed) as exc:
+    except (ValueError, OSError, InnerSolveFailed, GenerationFailed) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.csv:

@@ -10,9 +10,10 @@ are exactly the equilibrium prices, which makes the scaled distance
 ``vi_residual`` a computable merit for candidate equilibria.
 
 An ``ExcessEvaluator`` owns all per-solve state: the warm start and the
-last optimal working set of each inner program.  The rows of each program
-(``H``, ``G``, ``h``) depend only on the instance and are shared, read-only,
-by all of its evaluators.  While a basis stays optimal the
+last optimal working set of each inner program.  The programs themselves
+belong to the instance (``supply_program``, ``demand_program``), and so do
+their read-only rows ``prepared = (H, G, h)``, which all of its evaluators
+share.  While a basis stays optimal the
 minimizer is affine in p (the critical region of a parametric QP), so the
 cached piece answers directly once it passes one KKT certificate (its
 matrix is inverted lazily, behind a cheap screen).  Construct one evaluator
@@ -24,7 +25,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import warnings
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +40,6 @@ CERTIFY_TOL = 1e-8
 # once) cannot overflow below it unless a cached entry exceeds about 1e50.
 PIECE_PMAX = 1e100
 _max, _min = qp._max, qp._min
-_ROWS: dict[tuple[int, str], tuple[FloatArray, FloatArray, FloatArray]] = {}
 
 
 class InnerSolveFailed(RuntimeError):
@@ -62,36 +61,12 @@ class MapEvaluation:
 
 def supply_problem(instance: ModelInstance, p: FloatArray) -> qp.QpProblem:
     """max p'x - x'Cx over X, written as min x'Cx - p'x."""
-    return qp.QpProblem(
-        Q=instance.costs.C,
-        q=-np.asarray(p, dtype=float),
-        A=instance.feasible.A,
-        b=instance.feasible.b,
-    )
+    return dataclasses.replace(instance.supply_program, q=-np.asarray(p, dtype=float))
 
 
 def demand_problem(instance: ModelInstance, p: FloatArray) -> qp.QpProblem:
     """min p'x + x'Bx over {x in X : l'x >= M}."""
-    return qp.QpProblem(
-        Q=instance.costs.B,
-        q=np.asarray(p, dtype=float),
-        A=instance.feasible.A,
-        b=instance.feasible.b,
-        floor=(instance.costs.l, instance.costs.M),
-    )
-
-
-def _shared_rows(instance: ModelInstance, kind: str, problem: qp.QpProblem):
-    """Read-only ``(H, G, h)`` of ``problem``, built once per instance and kind; the
-    ``_ROWS`` entry goes as the instance is collected, before its id is reused."""
-    key = (id(instance), kind)
-    if key not in _ROWS:
-        rows = (problem.Q + problem.Q.T, *qp.problem_rows(problem))
-        for a in rows:
-            a.flags.writeable = False
-        _ROWS[key] = rows
-        weakref.finalize(instance, _ROWS.pop, key, None)
-    return _ROWS[key]
+    return dataclasses.replace(instance.demand_program, q=np.asarray(p, dtype=float))
 
 
 class _InnerMap:
@@ -101,16 +76,16 @@ class _InnerMap:
     Until a solve succeeds, ``qp.solve_qp`` starts it cold (zero when
     feasible, else a phase-1 point); later solves warm-start from the last
     solution and working set.  Only the last optimal solve's working set is
-    kept; its KKT matrix is rebuilt from the instance's shared rows and
+    kept; its KKT matrix is rebuilt from the program's shared rows and
     inverted at the first price whose solve of it passes ``_screen``.  While
     that basis stays optimal, a new price costs a few small matrix-vector
     products plus one certificate check.
     """
 
-    def __init__(self, kind: str, problem: qp.QpProblem, instance: ModelInstance):
+    def __init__(self, kind: str, problem: qp.QpProblem):
         self.kind = kind
         self.problem = problem
-        self.H, self.G, self.h = _shared_rows(instance, kind, problem)
+        self.H, self.G, self.h = problem.prepared
         self.hscale = 1.0 + qp._hscale(self.h)
         self.last_x: FloatArray | None = None
         self.last_wset: tuple[int, ...] | None = None
@@ -242,9 +217,8 @@ class ExcessEvaluator:
     def __init__(self, instance: ModelInstance):
         self.instance = instance
         self._project = instance.domain.projector(instance.n)
-        p0 = np.zeros(instance.n)
-        self._supply = _InnerMap("supply", supply_problem(instance, p0), instance)
-        self._demand = _InnerMap("demand", demand_problem(instance, p0), instance)
+        self._supply = _InnerMap("supply", instance.supply_program)
+        self._demand = _InnerMap("demand", instance.demand_program)
 
     def supply(self, p) -> FloatArray:
         """Unique maximizer of p'x - x'Cx over X."""

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Callable
 
@@ -281,6 +282,19 @@ class ModelInstance:
             domain=domain,
             p0=np.asarray(p0, dtype=float),
             constants=constants,
+        )
+
+    @cached_property
+    def supply_program(self) -> qp.QpProblem:
+        """min x'Cx - p'x over X at p = 0; ``maps.supply_problem`` sets p."""
+        return qp.QpProblem(Q=self.costs.C, q=np.zeros(self.n), A=self.feasible.A, b=self.feasible.b)
+
+    @cached_property
+    def demand_program(self) -> qp.QpProblem:
+        """min p'x + x'Bx over {x in X : l'x >= M} at p = 0; ``maps.demand_problem`` sets p."""
+        costs, feasible = self.costs, self.feasible
+        return qp.QpProblem(
+            Q=costs.B, q=np.zeros(self.n), A=feasible.A, b=feasible.b, floor=(costs.l, costs.M)
         )
 
 

@@ -22,6 +22,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
@@ -123,6 +124,15 @@ class QpProblem:
     def n(self) -> int:
         return self.Q.shape[0]
 
+    @cached_property
+    def prepared(self) -> tuple[FloatArray, FloatArray, FloatArray]:
+        """Read-only ``(H, G, h)`` for ``solve_prepared``: ``H = Q + Q'`` and the
+        ``inequality_rows``.  A ``dataclasses.replace`` copy builds its own."""
+        rows = (self.Q + self.Q.T, *inequality_rows(self.A, self.b, self.floor, self.n))
+        for a in rows:
+            a.flags.writeable = False
+        return rows
+
     def objective(self, x: FloatArray) -> float:
         return float(x @ self.Q @ x + self.q @ x)
 
@@ -182,55 +192,30 @@ def inequality_rows(
     return np.vstack(blocks_g), np.concatenate(blocks_h)
 
 
-def problem_rows(problem: QpProblem) -> tuple[FloatArray, FloatArray]:
-    return inequality_rows(problem.A, problem.b, problem.floor, problem.n)
+def solve_qp(problem: QpProblem, max_iter: int | None = None) -> QpSolution:
+    """Minimize ``x'Qx + q'x`` over the problem's polyhedron, from a cold start.
 
+    The start is ``feasible_point``'s (zero when feasible, else a phase-1
+    point), and an infeasibility certificate is returned if none exists.
+    ``max_iter`` caps the active-set iterations (default ``50 * (n + #rows)``).
+    A warm start from a feasible point is ``solve_prepared`` on
+    ``problem.prepared``.
 
-def solve_qp(
-    problem: QpProblem,
-    max_iter: int | None = None,
-    start: FloatArray | None = None,
-) -> QpSolution:
-    """Minimize ``x'Qx + q'x`` over the problem's polyhedron.
-
-    Parameters
-    ----------
-    problem : QpProblem
-        Problem data; Q must be symmetric positive definite.
-    max_iter : int, optional
-        Active-set iteration cap; defaults to ``50 * (n + #rows)``.
-    start : array, optional
-        Feasible warm start.  When omitted (or infeasible) a phase-1
-        linear program supplies one, and an infeasibility certificate is
-        returned if none exists.
-
-    Returns
-    -------
-    QpSolution
-        ``status == OPTIMAL`` guarantees a KKT residual within ``DEFAULT_TOL``
-        times the residual scale; ``OVERFLOW`` means a step overflowed and
-        ``INACCURATE`` that the loop stopped above that residual bound.
+    ``status == OPTIMAL`` guarantees a KKT residual within ``DEFAULT_TOL``
+    times the residual scale; ``OVERFLOW`` means a step overflowed and
+    ``INACCURATE`` that the loop stopped above that residual bound.
     """
-    G, h = problem_rows(problem)
-    n = problem.n
-    x0 = None
-    if start is not None:
-        cand = np.asarray(start, dtype=float).reshape(-1)
-        if cand.shape[0] == n and _max_violation(G, h, cand) <= 1e-8 * (1.0 + _hscale(h)):
-            x0 = cand
-    if x0 is None:
-        phase1 = feasible_point(problem.A, problem.b, n, problem.floor)
-        if not phase1.feasible:
-            return QpSolution(
-                x=np.zeros(n),
-                kkt_residual=np.inf,
-                iterations=0,
-                status=QpStatus.INFEASIBLE,
-                certificate=phase1.certificate,
-            )
-        x0 = phase1.x
-    H = problem.Q + problem.Q.T  # 2Q, symmetrized
-    return solve_prepared(H, problem.q, G, h, x0, max_iter=max_iter)
+    phase1 = feasible_point(problem.A, problem.b, problem.n, problem.floor)
+    if not phase1.feasible:
+        return QpSolution(
+            x=np.zeros(problem.n),
+            kkt_residual=np.inf,
+            iterations=0,
+            status=QpStatus.INFEASIBLE,
+            certificate=phase1.certificate,
+        )
+    H, G, h = problem.prepared
+    return solve_prepared(H, problem.q, G, h, phase1.x, max_iter=max_iter)
 
 
 def solve_prepared(
@@ -460,7 +445,7 @@ def check_kkt(problem: QpProblem, x: FloatArray) -> float:
     complementarity gap.  Zero exactly when ``x`` is the minimizer.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
-    G, h = problem_rows(problem)
+    _, G, h = problem.prepared
     viol = G @ x - h
     primal = float(np.max(viol, initial=0.0))
     grad = problem.gradient(x)

@@ -175,7 +175,7 @@ def bilevel_solve(
     eps : float
         Stop when ||p_{k+1} - p_k|| / max(||p_{k+1}||, 1) < eps; finite, >= 0.
     max_iter : int
-        Iteration cap; the report then carries ITER_LIMIT.
+        Iteration cap, >= 0; the report then carries ITER_LIMIT.
     start : array, optional
         Initial point, projected onto the domain; defaults to the anchor.
     trace_vi_every : int
@@ -194,6 +194,8 @@ def bilevel_solve(
     """
     if not 0.0 <= eps < math.inf:
         raise ValueError("eps must be finite and nonnegative")
+    if max_iter < 0:
+        raise ValueError("max_iter must be nonnegative")
     rule = schedule_default().lambda_of  # alpha_of is the same rule
     p0, weight = objective.p0, objective.weight
     p = domain.project(start if start is not None else p0)

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from eqprice import cli
 from eqprice.cli import main, run_bench, trial_seed, write_bench_csv
 from eqprice.model import instance_to_json, save_instance
 from conftest import make_combined_1d, make_saturated_1d
@@ -219,6 +220,7 @@ class TestSolveCommand:
             ({}, ["--eps", "nan"], "error: eps must be finite and nonnegative\n"),
             ({}, ["--eps", "-1"], "error: eps must be finite and nonnegative\n"),
             ({}, ["--eps", "inf"], "error: eps must be finite and nonnegative\n"),
+            ({}, ["--max-iter", "-1"], "error: max_iter must be nonnegative\n"),
         ],
         ids=[
             "weight-zero",
@@ -235,6 +237,7 @@ class TestSolveCommand:
             "eps-nan",
             "eps-negative",
             "eps-inf",
+            "max-iter-negative",
         ],
     )
     @pytest.mark.parametrize("command", ["solve", "trace"])
@@ -249,6 +252,23 @@ class TestSolveCommand:
         assert main([command, str(path), *options, *extra]) == 1
         assert capsys.readouterr().err == stderr
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [("solve", "--out"), ("solve", "--trace"), ("trace", "--csv"), ("bench", "--csv")],
+)
+def test_missing_output_directory_fails_before_solving(
+    saturated_path, tmp_path, capsys, monkeypatch, command, option
+):
+    monkeypatch.setattr(cli, "_solve_instance", lambda *args, **kw: pytest.fail("solved"))
+    target = tmp_path / "missing" / "out"
+    inputs = ["--n", "2", "--m", "1"] if command == "bench" else [str(saturated_path)]
+    assert main([command, *inputs, option, str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {option}: directory {target.parent} does not exist\n"
+    assert not target.parent.exists()
 
 
 class TestTraceCommand:
@@ -315,6 +335,22 @@ class TestBenchCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: eps must be finite and nonnegative\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "option, stderr",
+        [
+            (["--seed", "-1"], "error: seed must be nonnegative\n"),
+            (["--max-iter", "-3"], "error: max_iter must be nonnegative\n"),
+        ],
+        ids=["seed-negative", "max-iter-negative"],
+    )
+    def test_negative_counts_are_named(self, tmp_path, capsys, option, stderr):
+        out = tmp_path / "out.csv"
+        assert main(["bench", "--n", "2", "--m", "1", "--trials", "1", *option, "--csv", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == stderr
         assert not out.exists()
 
     def test_generation_failure_exits_one_without_csv(self, tmp_path, capsys):

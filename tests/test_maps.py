@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -510,27 +511,38 @@ class TestEvaluatorFootprint:
     def test_rows_are_shared_per_instance_and_read_only(self):
         inst = self.instance(10, 8)
         one, two = ExcessEvaluator(inst), ExcessEvaluator(inst)
-        for kind, build in (("_supply", maps.supply_problem), ("_demand", maps.demand_problem)):
+        for kind, build, program in (
+            ("_supply", maps.supply_problem, inst.supply_program),
+            ("_demand", maps.demand_problem, inst.demand_program),
+        ):
             a, b = getattr(one, kind), getattr(two, kind)
             problem = build(inst, inst.p0)
-            G, h = qp.problem_rows(problem)
-            for name, expected in (("H", problem.Q + problem.Q.T), ("G", G), ("h", h)):
-                assert getattr(a, name) is getattr(b, name)
-                assert not getattr(a, name).flags.writeable
-                np.testing.assert_array_equal(getattr(a, name), expected)
+            G, h = qp.inequality_rows(problem.A, problem.b, problem.floor, problem.n)
+            expected = (problem.Q + problem.Q.T, G, h)
+            for name, shared, rows in zip("HGh", program.prepared, expected):
+                assert getattr(a, name) is getattr(b, name) is shared
+                assert not shared.flags.writeable
+                np.testing.assert_array_equal(shared, rows)
         assert one._supply.G.shape[0] + 1 == one._demand.G.shape[0]  # the floor row
         other = ExcessEvaluator(self.instance(10, 8, trial=1))
         assert other._supply.G is not one._supply.G
 
     def test_rows_are_dropped_with_their_instance(self):
         inst = self.instance(5, 3)
-        ev = ExcessEvaluator(inst)
+        ev, other = ExcessEvaluator(inst), ExcessEvaluator(inst)
         ev.evaluate(inst.p0)
-        key = id(inst)
-        assert {(key, "supply"), (key, "demand")} <= set(maps._ROWS)
+        rows = [
+            weakref.ref(getattr(inner, name))
+            for e in (ev, other)
+            for inner in (e._supply, e._demand)
+            for name in "HGh"
+        ]
         del inst, ev
         gc.collect()
-        assert not [k for k in maps._ROWS if k[0] == key]
+        assert all(ref() is not None for ref in rows)  # the other evaluator holds them
+        del other
+        gc.collect()
+        assert all(ref() is None for ref in rows)
 
     def test_a_reused_id_gets_its_own_rows(self):
         # Each instance dies before the next is built, so CPython hands the

@@ -21,7 +21,6 @@ from eqprice.qp import (
     feasible_point,
     highs_lp,
     inequality_rows,
-    problem_rows,
     solve_qp,
 )
 from oracles import constraint_rows, enumerate_qp, random_qp
@@ -29,6 +28,12 @@ from oracles import constraint_rows, enumerate_qp, random_qp
 
 def box_problem(q_val: float, floor=None) -> QpProblem:
     return QpProblem(Q=[[1.0]], q=[q_val], A=[[1.0]], b=[10.0], floor=floor)
+
+
+def solve_from(problem: QpProblem, x0, max_iter=None):
+    """The warm entry: ``solve_prepared`` on the problem's rows from a feasible x0."""
+    H, G, h = problem.prepared
+    return qp_module.solve_prepared(H, problem.q, G, h, np.asarray(x0, dtype=float), max_iter=max_iter)
 
 
 class TestSolveQp:
@@ -61,7 +66,7 @@ class TestSolveQp:
         assert sol.status is QpStatus.INFEASIBLE
         assert sol.certificate is not None
         # Certificate rows combine to 0 <= negative number.
-        G, h = problem_rows(problem)
+        _, G, h = problem.prepared
         y = sol.certificate
         assert np.all(y >= -1e-12)
         assert float(y @ h) < -1e-6
@@ -69,17 +74,17 @@ class TestSolveQp:
 
     def test_iteration_limit_status(self):
         problem, z = random_qp(np.random.default_rng(5))
-        sol = solve_qp(problem, max_iter=1, start=z)
+        sol = solve_from(problem, z, max_iter=1)
         assert sol.status in (QpStatus.ITER_LIMIT, QpStatus.OPTIMAL)
 
     def test_residual_above_tolerance_is_its_own_status(self, monkeypatch):
         # A loop that passes its sign test but not the residual test is
         # INACCURATE, not ITER_LIMIT; its answer and iterations are unchanged.
         problem, z = random_qp(np.random.default_rng(5))
-        optimal = solve_qp(problem, start=z)
+        optimal = solve_from(problem, z)
         assert optimal.status is QpStatus.OPTIMAL
         monkeypatch.setattr(qp_module, "DEFAULT_TOL", -1.0)  # no residual meets it
-        inaccurate = solve_qp(problem, start=z)
+        inaccurate = solve_from(problem, z)
         assert inaccurate.status is QpStatus.INACCURATE
         np.testing.assert_array_equal(inaccurate.x, optimal.x)
         assert inaccurate.iterations == optimal.iterations
@@ -120,21 +125,29 @@ class TestAgainstEnumeration:
             assert check_kkt(problem, sol.x) <= 1e-8 * (1 + np.abs(problem.q).max())
 
     def test_start_point_independence(self):
+        # The cold start against warm starts from feasible points only: z, a
+        # shrunk copy of z when it satisfies every row, and random points.
         rng = np.random.default_rng(7)
+        shrunk = 0
         for _ in range(20):
             problem, z = random_qp(rng, with_floor=False)
-            baseline = solve_qp(problem, start=z).x
-            starts = [z]
+            _, G, h = problem.prepared
+
+            def feasible(x):
+                return float(np.max(G @ x - h, initial=0.0)) <= 0.0
+
+            baseline = solve_qp(problem).x
+            starts = [z] + [x for x in [z * rng.uniform(0.5, 1.0)] if feasible(x)]
+            shrunk += len(starts) - 1
             while len(starts) < 5:
                 cand = np.abs(rng.normal(size=problem.n))
-                G, h = problem_rows(problem)
-                if float(np.max(G @ cand - h, initial=0.0)) <= 0.0:
+                if feasible(cand):
                     starts.append(cand)
-                elif len(starts) < 2:
-                    starts.append(z * rng.uniform(0.5, 1.0))
             for start in starts:
-                sol = solve_qp(problem, start=start)
+                sol = solve_from(problem, start)
+                assert sol.status is QpStatus.OPTIMAL
                 np.testing.assert_allclose(sol.x, baseline, atol=1e-6)
+        assert shrunk > 5
 
 
 class TestCheckKkt:
@@ -339,7 +352,7 @@ class TestPerturbationPolicy:
             return steps[-1]
 
         monkeypatch.setattr(qp_module, "_kkt_step", recording_step)
-        sol = solve_qp(dependent_problem(), start=np.array([1.0, 1.0]))
+        sol = solve_from(dependent_problem(), [1.0, 1.0])
         assert any(step is None for step in steps)
         assert sol.status is QpStatus.OPTIMAL
         np.testing.assert_allclose(sol.x, [1.0, 1.0], atol=1e-7)
@@ -418,11 +431,13 @@ class TestKktMatrix:
         cases.append((dependent_problem(), np.array([1.0, 1.0])))
         statuses = collections.Counter()
         for problem, start in cases:
-            G, _ = problem_rows(problem)
-            H = problem.Q + problem.Q.T
+            H, G, _ = problem.prepared
             for max_iter in (1, 2, 3, 5, None):
                 factorized.append([])
-                sol = solve_qp(problem, max_iter=max_iter, start=start)
+                if start is None:
+                    sol = solve_qp(problem, max_iter=max_iter)
+                else:
+                    sol = solve_from(problem, start, max_iter=max_iter)
                 statuses[sol.status] += 1
                 if sol.status is QpStatus.OPTIMAL:
                     kkt = qp_module.kkt_matrix(H, G[list(sol.working_set)])
@@ -447,7 +462,7 @@ class TestMultipliers:
             problem, _ = random_qp(rng)
             sol = solve_qp(problem)
             assert sol.status is QpStatus.OPTIMAL
-            G, h = problem_rows(problem)
+            _, G, h = problem.prepared
             active = np.flatnonzero(G @ sol.x - h >= -1e-7 * (1.0 + np.abs(h)))
             fit = np.zeros(G.shape[0])
             if active.size:
@@ -473,7 +488,7 @@ class TestMultipliers:
         kinds = collections.Counter()
         for _ in range(100):
             problem, _ = random_qp(rng)
-            G, _ = problem_rows(problem)
+            _, G, _ = problem.prepared
             for max_iter in (1, 2, 3, None):
                 sol = solve_qp(problem, max_iter=max_iter)
                 x, lam, wset, *_ = returned[-1]
@@ -541,8 +556,8 @@ def test_duplicate_requested_rows_count_once():
     # min x'x - 4(x1 + x2) s.t. x1 + x2 <= 2, x >= 0, from the optimum [1, 1]:
     # row 0 twice would make the first KKT system singular.
     problem = QpProblem(Q=np.eye(2), q=[-4.0, -4.0], A=[[1.0, 1.0]], b=[2.0])
-    G, h = problem_rows(problem)
-    H, x0 = 2.0 * problem.Q, np.ones(2)
+    H, G, h = problem.prepared
+    x0 = np.ones(2)
     once = qp_module.solve_prepared(H, problem.q, G, h, x0, working_set=(0,))
     twice = qp_module.solve_prepared(H, problem.q, G, h, x0, working_set=(0, 0))
     assert once.status is twice.status is QpStatus.OPTIMAL
