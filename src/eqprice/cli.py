@@ -54,9 +54,12 @@ def _check_schedule(name: str) -> None:
 
 
 def _check_outputs(args: argparse.Namespace, *options: str) -> None:
-    """Refuse an output path in a missing directory before any work is done."""
+    """Refuse an output path that is a directory or lies in a missing one,
+    before any work is done."""
     for option in options:
         path = getattr(args, option, None)
+        if path and Path(path).is_dir():
+            raise IsADirectoryError(f"--{option}: {path} is a directory")
         if path and not Path(path).parent.is_dir():
             raise FileNotFoundError(f"--{option}: directory {Path(path).parent} does not exist")
 
@@ -150,21 +153,25 @@ def cmd_solve(args: argparse.Namespace) -> int:
     except (ValueError, InnerSolveFailed) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.command == "trace":
-        _write_trace(Path(args.csv), report)
-        print(
-            f"wrote {report.iterations} rows to {args.csv} ({report.termination.value})",
-            file=sys.stderr,
-        )
-    else:
-        eta = args.eta if args.eta is not None else instance.constants.eta
-        text = json.dumps(_report_doc(report, args.eps, eta), indent=2)
-        if args.out:
-            Path(args.out).write_text(text + "\n")
+    try:
+        if args.command == "trace":
+            _write_trace(Path(args.csv), report)
+            print(
+                f"wrote {report.iterations} rows to {args.csv} ({report.termination.value})",
+                file=sys.stderr,
+            )
         else:
-            print(text)
-        if args.trace:
-            _write_trace(Path(args.trace), report)
+            eta = args.eta if args.eta is not None else instance.constants.eta
+            text = json.dumps(_report_doc(report, args.eps, eta), indent=2)
+            if args.out:
+                Path(args.out).write_text(text + "\n")
+            else:
+                print(text)
+            if args.trace:
+                _write_trace(Path(args.trace), report)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0 if report.converged else 2
 
 
@@ -200,6 +207,8 @@ def run_bench(
         raise ValueError("n and m lists must have equal length")
     if not n_list:
         raise ValueError("size lists must be nonempty")
+    if min(n_list + m_list) < 1:  # GenConfig's rule, before trial_seed meets a negative size
+        raise ValueError("n and m must be at least 1")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if seed < 0:
@@ -279,11 +288,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
             weight=args.weight,
             log=sys.stderr,
         )
+        if args.csv:
+            write_bench_csv(Path(args.csv), rows)
     except (ValueError, OSError, InnerSolveFailed, GenerationFailed) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.csv:
-        write_bench_csv(Path(args.csv), rows)
     meta = {
         "seed": args.seed,
         "eps": args.eps,

@@ -12,8 +12,8 @@ are exactly the equilibrium prices, which makes the scaled distance
 An ``ExcessEvaluator`` owns all per-solve state: the warm start and the
 last optimal working set of each inner program.  The programs themselves
 belong to the instance (``supply_program``, ``demand_program``), and so do
-their read-only rows ``prepared = (H, G, h)``, which all of its evaluators
-share.  While a basis stays optimal the
+their read-only rows ``prepared = (H, G, h)`` and cold starts ``phase1``,
+which all of its evaluators share.  While a basis stays optimal the
 minimizer is affine in p (the critical region of a parametric QP), so the
 cached piece answers directly once it passes one KKT certificate (its
 matrix is inverted lazily, behind a cheap screen).  Construct one evaluator
@@ -73,13 +73,13 @@ class _InnerMap:
     """``problem`` as a parametric QP in its linear term: ``c = -p`` for
     supply and ``c = p`` for demand.
 
-    Until a solve succeeds, ``qp.solve_qp`` starts it cold (zero when
-    feasible, else a phase-1 point); later solves warm-start from the last
-    solution and working set.  Only the last optimal solve's working set is
-    kept; its KKT matrix is rebuilt from the program's shared rows and
-    inverted at the first price whose solve of it passes ``_screen``.  While
-    that basis stays optimal, a new price costs a few small matrix-vector
-    products plus one certificate check.
+    Until a solve succeeds, it starts cold from the program's ``phase1``
+    (zero when feasible, else a phase-1 point); later solves warm-start from
+    the last solution and working set.  Only the last optimal solve's
+    working set is kept; its KKT matrix is rebuilt from the program's shared
+    rows and inverted at the first price whose solve of it passes
+    ``_screen``.  While that basis stays optimal, a new price costs a few
+    small matrix-vector products plus one certificate check.
     """
 
     def __init__(self, kind: str, problem: qp.QpProblem):
@@ -184,12 +184,10 @@ class _InnerMap:
             self.fast_hits += 1
             self.last_x = x
             return x
-        if self.last_x is None:
-            sol = qp.solve_qp(dataclasses.replace(self.problem, q=c))
-            if sol.status is qp.QpStatus.INFEASIBLE:
-                raise InnerSolveFailed(f"the {self.kind} feasible region is empty")
-        else:
-            sol = qp.solve_prepared(self.H, c, self.G, self.h, self.last_x, self.last_wset)
+        if self.last_x is None and not self.problem.phase1.feasible:
+            raise InnerSolveFailed(f"the {self.kind} feasible region is empty")
+        x0 = self.problem.phase1.x if self.last_x is None else self.last_x
+        sol = qp.solve_prepared(self.H, c, self.G, self.h, x0, self.last_wset)
         self.solves += 1
         self.iterations += sol.iterations
         if sol.status is qp.QpStatus.OVERFLOW:

@@ -341,15 +341,15 @@ def validate_instance(instance: ModelInstance) -> list[ValidationIssue]:
     """Report violated invariants; an empty list means the instance is sound.
 
     ``data_issues`` plus nonemptiness of the demand set {x in X : l'x >= M}
-    by a phase-1 solve, which runs only when b >= 0.  A phase-1 LP that
+    by ``demand_program.phase1``, which runs only when b >= 0; the demand
+    map's cold start reuses that point.  A phase-1 LP that
     HiGHS rejects (an entry of magnitude 1e15 or more, or a bound past its
     1e20 infinity) is an error too.
     """
     issues = data_issues(instance)
-    costs, feasible = instance.costs, instance.feasible
-    if not (feasible.b < 0.0).any():
+    if not (instance.feasible.b < 0.0).any():
         try:
-            phase1 = qp.feasible_point(feasible.A, feasible.b, instance.n, (costs.l, costs.M))
+            phase1 = instance.demand_program.phase1
         except RuntimeError as exc:
             issues.append(ValidationIssue("Phase1Failed", str(exc)))
             return issues
@@ -357,7 +357,7 @@ def validate_instance(instance: ModelInstance) -> list[ValidationIssue]:
             issues.append(
                 ValidationIssue(
                     "DemandInfeasible",
-                    f"no x in X reaches the utility floor l'x >= {costs.M:g}",
+                    f"no x in X reaches the utility floor l'x >= {instance.costs.M:g}",
                 )
             )
     return issues

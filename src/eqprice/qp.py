@@ -9,10 +9,11 @@ with Q symmetric positive definite, so the minimizer is unique and the
 primal active-set method terminates at a machine-precision KKT point.
 ``check_kkt`` re-derives optimality from scratch (least-squares multiplier
 fit on the active set) and serves as an independent certificate for any
-candidate point, whatever produced it.  ``feasible_point`` finds a start
-point, and ``highs_lp`` is the one linear-program entry of the package:
-HiGHS's dual simplex through scipy's binding, without ``linprog``'s
-per-call input checks.
+candidate point, whatever produced it.  A ``QpProblem`` finds once what
+its linear term does not move: its rows ``prepared`` and its cold start
+``phase1``, ``feasible_point``'s.  ``highs_lp`` is the one linear-program
+entry of the package: HiGHS's dual simplex through scipy's binding,
+without ``linprog``'s per-call input checks.
 """
 
 from __future__ import annotations
@@ -133,6 +134,14 @@ class QpProblem:
             a.flags.writeable = False
         return rows
 
+    @cached_property
+    def phase1(self) -> FeasiblePointResult:
+        """``feasible_point(self)``, the cold start of every solve; ``x`` is read-only."""
+        found = feasible_point(self)
+        if found.feasible:
+            found.x.flags.writeable = False
+        return found
+
     def objective(self, x: FloatArray) -> float:
         return float(x @ self.Q @ x + self.q @ x)
 
@@ -195,7 +204,7 @@ def inequality_rows(
 def solve_qp(problem: QpProblem, max_iter: int | None = None) -> QpSolution:
     """Minimize ``x'Qx + q'x`` over the problem's polyhedron, from a cold start.
 
-    The start is ``feasible_point``'s (zero when feasible, else a phase-1
+    The start is ``problem.phase1`` (zero when feasible, else a phase-1
     point), and an infeasibility certificate is returned if none exists.
     ``max_iter`` caps the active-set iterations (default ``50 * (n + #rows)``).
     A warm start from a feasible point is ``solve_prepared`` on
@@ -205,7 +214,7 @@ def solve_qp(problem: QpProblem, max_iter: int | None = None) -> QpSolution:
     times the residual scale; ``OVERFLOW`` means a step overflowed and
     ``INACCURATE`` that the loop stopped above that residual bound.
     """
-    phase1 = feasible_point(problem.A, problem.b, problem.n, problem.floor)
+    phase1 = problem.phase1
     if not phase1.feasible:
         return QpSolution(
             x=np.zeros(problem.n),
@@ -460,25 +469,20 @@ def check_kkt(problem: QpProblem, x: FloatArray) -> float:
     return max(primal, stationarity, negativity, complementarity)
 
 
-def feasible_point(
-    A: FloatArray,
-    b: FloatArray,
-    n: int,
-    floor: tuple[FloatArray, float] | None = None,
-) -> FeasiblePointResult:
-    """Find x >= 0 with ``Ax <= b`` (2-D A) and optional ``g'x >= M``.
+def feasible_point(problem: QpProblem) -> FeasiblePointResult:
+    """Find x >= 0 with ``G x <= h``, the rows of ``problem.prepared``.
 
-    Zero when it violates no row by more than ``FEASIBILITY_TOL``, else an
-    elastic linear program (minimize total constraint violation); a
-    strictly positive optimum proves emptiness and its dual multipliers
-    are returned as the certificate.
+    Zero when it violates no row by more than ``FEASIBILITY_TOL`` (at zero
+    the violation is ``-h`` exactly), else an elastic linear program
+    (minimize total constraint violation); a strictly positive optimum
+    proves emptiness and its dual multipliers are returned as the
+    certificate.  ``problem.phase1`` keeps the answer.
     """
-    G, h = inequality_rows(A, b, floor, n)
+    (_, G, h), n = problem.prepared, problem.n
     # Nonnegativity goes through column bounds, not elastic rows.
     n_elastic = G.shape[0] - n
-    x0 = np.zeros(n)
-    if _max_violation(G, h, x0) <= FEASIBILITY_TOL:
-        return FeasiblePointResult(feasible=True, x=x0)
+    if -h.min(initial=0.0) <= FEASIBILITY_TOL:
+        return FeasiblePointResult(feasible=True, x=np.zeros(n))
 
     a_ub = np.hstack([G[:n_elastic], -np.eye(n_elastic)])
     cost = np.concatenate([np.zeros(n), np.ones(n_elastic)])
@@ -553,12 +557,6 @@ def residual_scale(cmax: float, hx: FloatArray) -> float:
     """``1 + max|c| + max|Hx|`` from ``cmax = max|c|`` and ``hx = Hx``: the scale
     of the KKT residual, for an optimal solve and a cached piece alike."""
     return 1.0 + cmax + _max(abs(hx))
-
-
-def _max_violation(G: FloatArray, h: FloatArray, x: FloatArray) -> float:
-    if G.shape[0] == 0:
-        return 0.0
-    return float(np.max(G @ x - h, initial=0.0))
 
 
 def _hscale(h: FloatArray) -> float:

@@ -2,6 +2,7 @@
 
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -254,21 +255,47 @@ class TestSolveCommand:
         assert not out.exists()
 
 
+OUTPUTS = [("solve", "--out"), ("solve", "--trace"), ("trace", "--csv"), ("bench", "--csv")]
+
+
 @pytest.mark.parametrize(
-    "command, option",
-    [("solve", "--out"), ("solve", "--trace"), ("trace", "--csv"), ("bench", "--csv")],
+    "command, option, existing_directory",
+    [(*output, False) for output in OUTPUTS] + [(*output, True) for output in OUTPUTS],
+    ids=[f"{c}-{o}" for c, o in OUTPUTS] + [f"{c}-{o}-is-a-directory" for c, o in OUTPUTS],
 )
 def test_missing_output_directory_fails_before_solving(
-    saturated_path, tmp_path, capsys, monkeypatch, command, option
+    saturated_path, tmp_path, capsys, monkeypatch, command, option, existing_directory
 ):
     monkeypatch.setattr(cli, "_solve_instance", lambda *args, **kw: pytest.fail("solved"))
-    target = tmp_path / "missing" / "out"
+    if existing_directory:
+        target = tmp_path / "out"
+        target.mkdir()
+        stderr = f"error: {option}: {target} is a directory\n"
+    else:
+        target = tmp_path / "missing" / "out"
+        stderr = f"error: {option}: directory {target.parent} does not exist\n"
     inputs = ["--n", "2", "--m", "1"] if command == "bench" else [str(saturated_path)]
     assert main([command, *inputs, option, str(target)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {option}: directory {target.parent} does not exist\n"
-    assert not target.parent.exists()
+    assert captured.err == stderr
+    assert not any(target.iterdir()) if existing_directory else not target.parent.exists()
+
+
+@pytest.mark.parametrize("command, option", OUTPUTS, ids=[f"{c}-{o}" for c, o in OUTPUTS])
+def test_failed_write_is_one_error_line(saturated_path, tmp_path, capsys, monkeypatch, command, option):
+    target = tmp_path / "out"
+    for method in ("open", "write_text"):
+        def refuse(path, *args, real=getattr(Path, method), **kwargs):
+            if path == target:
+                raise PermissionError(13, "Permission denied", str(path))
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, method, refuse)
+    inputs = ["--n", "2", "--m", "1", "--trials", "1"] if command == "bench" else [str(saturated_path)]
+    assert main([command, *inputs, option, str(target)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: [Errno 13] Permission denied: '{target}'\n"
 
 
 class TestTraceCommand:
@@ -342,8 +369,10 @@ class TestBenchCommand:
         [
             (["--seed", "-1"], "error: seed must be nonnegative\n"),
             (["--max-iter", "-3"], "error: max_iter must be nonnegative\n"),
+            (["--m", "-1"], "error: n and m must be at least 1\n"),
+            (["--n", "-2"], "error: n and m must be at least 1\n"),
         ],
-        ids=["seed-negative", "max-iter-negative"],
+        ids=["seed-negative", "max-iter-negative", "m-negative", "n-negative"],
     )
     def test_negative_counts_are_named(self, tmp_path, capsys, option, stderr):
         out = tmp_path / "out.csv"

@@ -19,8 +19,19 @@ from eqprice import maps, qp
 from eqprice.cli import trial_seed
 from eqprice.gen import GenConfig, random_instance
 from eqprice.maps import EtaOutOfRange, ExcessEvaluator, InnerSolveFailed
-from eqprice.model import AgentCosts, FeasibleSet, ModelInstance, PriceDomain
+from eqprice.model import AgentCosts, FeasibleSet, ModelInstance, PriceDomain, validate_instance
 from conftest import make_combined_1d, make_saturated_1d
+
+
+def count_calls(monkeypatch, *names) -> collections.Counter:
+    """Count the calls of these ``qp`` functions, which go through the module."""
+    calls = collections.Counter()
+    for name in names:
+        real = getattr(qp, name)
+        monkeypatch.setattr(
+            qp, name, lambda *a, real=real, name=name, **kw: (calls.update([name]), real(*a, **kw))[1]
+        )
+    return calls
 
 
 class TestSupply:
@@ -228,6 +239,22 @@ class TestProblemBuilders:
             with pytest.raises(InnerSolveFailed, match="^the demand feasible region is empty$"):
                 ev.demand([4.0])
         assert ev.qp_solves == 1
+
+    def test_empty_demand_set_is_found_once_per_instance(self, monkeypatch):
+        inst = ModelInstance.build(
+            AgentCosts(C=[[1.0]], B=[[1.0]], l=[1.0], M=20.0),
+            FeasibleSet(A=[[1.0]], b=[10.0]),
+            PriceDomain.orthant(),
+            [4.0],
+        )
+        calls = count_calls(monkeypatch, "highs_lp")
+        assert [issue.code for issue in validate_instance(inst)] == ["DemandInfeasible"]
+        for ev in (ExcessEvaluator(inst), ExcessEvaluator(inst)):
+            for _ in range(2):
+                with pytest.raises(InnerSolveFailed, match="^the demand feasible region is empty$"):
+                    ev.demand([4.0])
+            assert ev.qp_solves == 0
+        assert calls == {"highs_lp": 1}
 
 
 SRC = str(Path(maps.__file__).resolve().parents[1])
@@ -526,6 +553,32 @@ class TestEvaluatorFootprint:
         assert one._supply.G.shape[0] + 1 == one._demand.G.shape[0]  # the floor row
         other = ExcessEvaluator(self.instance(10, 8, trial=1))
         assert other._supply.G is not one._supply.G
+
+    def test_rows_and_cold_starts_are_found_once_per_instance(self, monkeypatch):
+        inst = self.instance()
+        calls = count_calls(monkeypatch, "inequality_rows", "highs_lp")
+        assert not [issue for issue in validate_instance(inst) if issue.severity == "error"]
+        for _ in range(2):
+            ExcessEvaluator(inst).evaluate(inst.p0)
+        # The supply and the demand rows, and the demand program's phase-1 LP
+        # (zero violates the utility floor; it is the supply program's start).
+        assert calls == {"inequality_rows": 2, "highs_lp": 1}
+
+    def test_cold_starts_are_the_programs_read_only_phase1_points(self, monkeypatch):
+        inst = self.instance(10, 8)
+        starts = []
+        real = qp.solve_prepared
+        monkeypatch.setattr(
+            qp, "solve_prepared", lambda *a: (starts.append(a[4]), real(*a))[1]
+        )
+        for _ in range(2):
+            ExcessEvaluator(inst).evaluate(inst.p0)
+        programs = (inst.supply_program, inst.demand_program)
+        assert len(starts) == 4
+        for x0, program in zip(starts, programs * 2):
+            assert x0 is program.phase1.x
+            assert not x0.flags.writeable
+        assert not inst.supply_program.phase1.x.any() and inst.demand_program.phase1.x.any()
 
     def test_rows_are_dropped_with_their_instance(self):
         inst = self.instance(5, 3)

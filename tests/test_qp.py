@@ -30,6 +30,11 @@ def box_problem(q_val: float, floor=None) -> QpProblem:
     return QpProblem(Q=[[1.0]], q=[q_val], A=[[1.0]], b=[10.0], floor=floor)
 
 
+def region(A, b, n: int, floor=None) -> QpProblem:
+    """The polyhedron ``A x <= b``, ``g'x >= M``, ``x >= 0`` as a program (Q = I, q = 0)."""
+    return QpProblem(Q=np.eye(n), q=np.zeros(n), A=A, b=b, floor=floor)
+
+
 def solve_from(problem: QpProblem, x0, max_iter=None):
     """The warm entry: ``solve_prepared`` on the problem's rows from a feasible x0."""
     H, G, h = problem.prepared
@@ -167,12 +172,12 @@ class TestCheckKkt:
 
 class TestFeasiblePoint:
     def test_interval_intersection(self):
-        res = feasible_point([[1.0]], [10.0], 1, floor=([1.0], 2.0))
+        res = feasible_point(region([[1.0]], [10.0], 1, floor=([1.0], 2.0)))
         assert res.feasible
         assert 2.0 - 1e-9 <= res.x[0] <= 10.0 + 1e-9
 
     def test_contradictory_floor(self):
-        res = feasible_point([[1.0]], [1.0], 1, floor=([1.0], 2.0))
+        res = feasible_point(region([[1.0]], [1.0], 1, floor=([1.0], 2.0)))
         assert not res.feasible
         assert res.gap > 0.5
         # y >= 0 with y'G >= 0 on x >= 0 and y'h < 0 proves emptiness.
@@ -184,20 +189,34 @@ class TestFeasiblePoint:
         assert float(y[:2] @ h) < -1e-6
 
     def test_unconstrained_nonneg_returns_zero(self):
-        res = feasible_point(np.zeros((0, 1)), [], 1)
+        res = feasible_point(region(np.zeros((0, 1)), [], 1))
         assert res.feasible
         np.testing.assert_allclose(res.x, [0.0])
 
     def test_negative_rhs_empty_orthant_box(self):
-        res = feasible_point([[1.0]], [-1.0], 1)
+        res = feasible_point(region([[1.0]], [-1.0], 1))
         assert not res.feasible
+
+    @pytest.mark.parametrize("floor, lps", [(None, 0), (([1.0], 2.0), 1)], ids=["zero", "lp"])
+    def test_phase1_is_found_once_and_read_only(self, monkeypatch, floor, lps):
+        calls = []
+        real = qp_module.highs_lp
+        monkeypatch.setattr(qp_module, "highs_lp", lambda *a: (calls.append(a), real(*a))[1])
+        problem = box_problem(-4.0, floor)
+        first = problem.phase1
+        for _ in range(3):
+            assert solve_qp(problem).status is QpStatus.OPTIMAL
+        assert problem.phase1 is first and len(calls) == lps
+        with pytest.raises(ValueError, match="read-only"):
+            first.x[0] = 1.0
+        np.testing.assert_array_equal(first.x, feasible_point(box_problem(-4.0, floor)).x)
 
     def test_lp_failure_names_its_status(self, monkeypatch):
         monkeypatch.setattr(
             qp_module, "highs_lp", lambda *args, **kwargs: (False, None, np.nan, None, "Time limit reached")
         )
         with pytest.raises(RuntimeError, match="phase-1 LP failed unexpectedly: Time limit reached"):
-            feasible_point([[1.0]], [-1.0], 1)
+            feasible_point(region([[1.0]], [-1.0], 1))
 
 
 def _elastic_lp(A, b, floor, n):
@@ -236,7 +255,7 @@ class TestHighsLp:
             A, b = rng.normal(size=(m, n)), rng.normal(size=m)
             floor = (rng.uniform(0.0, 1.0, n), float(rng.uniform(0.0, 5.0))) if rng.integers(2) else None
             assert self.assert_same_bits(*_elastic_lp(A, b, floor, n))
-            outcomes.add(feasible_point(A, b, n, floor).feasible)
+            outcomes.add(feasible_point(region(A, b, n, floor)).feasible)
         assert outcomes == {True, False}
 
     # (c, A_ub, b_ub) with a zero column, -0.0 entries, a NaN entry and no rows.
