@@ -54,14 +54,17 @@ def _check_schedule(name: str) -> None:
 
 
 def _check_outputs(args: argparse.Namespace, *options: str) -> None:
-    """Refuse an output path that is a directory or lies in a missing one,
-    before any work is done."""
+    """Refuse an output path that is a directory or lies in a missing one or
+    in a file, before any work is done."""
     for option in options:
         path = getattr(args, option, None)
         if path and Path(path).is_dir():
             raise IsADirectoryError(f"--{option}: {path} is a directory")
         if path and not Path(path).parent.is_dir():
-            raise FileNotFoundError(f"--{option}: directory {Path(path).parent} does not exist")
+            parent = Path(path).parent
+            if parent.exists():
+                raise NotADirectoryError(f"--{option}: {parent} is not a directory")
+            raise FileNotFoundError(f"--{option}: directory {parent} does not exist")
 
 
 def _parse_eta(value: str) -> float | None:

@@ -291,11 +291,13 @@ class ModelInstance:
 
     @cached_property
     def demand_program(self) -> qp.QpProblem:
-        """min p'x + x'Bx over {x in X : l'x >= M} at p = 0; ``maps.demand_problem`` sets p."""
+        """min p'x + x'Bx over {x in X : l'x >= M} at p = 0; ``maps.demand_problem`` sets p.
+
+        The utility floor is the last row of its ``A, b``, ``-l'x <= -M``: row ``m``.
+        """
         costs, feasible = self.costs, self.feasible
-        return qp.QpProblem(
-            Q=costs.B, q=np.zeros(self.n), A=feasible.A, b=feasible.b, floor=(costs.l, costs.M)
-        )
+        A = np.vstack([feasible.A.reshape(-1, self.n), -costs.l])
+        return qp.QpProblem(Q=costs.B, q=np.zeros(self.n), A=A, b=np.append(feasible.b, -costs.M))
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,12 @@
 The programs solved here all have the shape
 
     minimize    x' Q x + q' x
-    subject to  A x <= b,  g' x >= M (optional),  x >= 0
+    subject to  A x <= b,  x >= 0
 
 with Q symmetric positive definite, so the minimizer is unique and the
 primal active-set method terminates at a machine-precision KKT point.
+Every side constraint is a row of ``A``: the demand program's utility
+floor ``l'x >= M`` is its last row, ``-l'x <= -M``.
 ``check_kkt`` re-derives optimality from scratch (least-squares multiplier
 fit on the active set) and serves as an independent certificate for any
 candidate point, whatever produced it.  A ``QpProblem`` finds once what
@@ -94,14 +96,14 @@ class QpProblem:
     """One strictly convex QP over a polyhedron.
 
     Objective is ``x' Q x + q' x`` (note: Q itself, not Q/2).  Constraints
-    are ``A x <= b``, an optional utility floor ``g' x >= M`` and ``x >= 0``.
+    are ``A x <= b`` and ``x >= 0``; any other linear row, such as a
+    ``g' x >= M``, is written into ``A, b`` as ``-g' x <= -M``.
     """
 
     Q: FloatArray
     q: FloatArray
     A: FloatArray
     b: FloatArray
-    floor: tuple[FloatArray, float] | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "Q", _as_matrix(self.Q, "Q"))
@@ -112,14 +114,10 @@ class QpProblem:
             raise ValueError("Q must be square")
         if self.A.shape[0] != self.b.shape[0]:
             raise ValueError("A and b row counts differ")
+        if self.A.shape[1] != self.n:
+            raise ValueError("A column count does not match Q")
         if self.q.shape[0] != self.n:
             raise ValueError("q length does not match Q")
-        if self.floor is not None:
-            g, m_floor = self.floor
-            g = _as_vector(g, "floor vector")
-            if g.shape[0] != self.n:
-                raise ValueError("floor vector length does not match Q")
-            object.__setattr__(self, "floor", (g, float(m_floor)))
 
     @property
     def n(self) -> int:
@@ -129,7 +127,7 @@ class QpProblem:
     def prepared(self) -> tuple[FloatArray, FloatArray, FloatArray]:
         """Read-only ``(H, G, h)`` for ``solve_prepared``: ``H = Q + Q'`` and the
         ``inequality_rows``.  A ``dataclasses.replace`` copy builds its own."""
-        rows = (self.Q + self.Q.T, *inequality_rows(self.A, self.b, self.floor, self.n))
+        rows = (self.Q + self.Q.T, *inequality_rows(self.A, self.b))
         for a in rows:
             a.flags.writeable = False
         return rows
@@ -159,7 +157,9 @@ class QpSolution:
     status: QpStatus
     working_set: tuple[int, ...] = ()
     certificate: FloatArray | None = None
-    multipliers: FloatArray | None = None  # per row of inequality_rows, 0 off working_set
+    # One per row of inequality_rows (A's rows, then the sign rows), 0 off working_set.
+    multipliers: FloatArray | None = None
+    bumps: int = 0  # degeneracy-bump rounds the active-set loop ran
 
 
 @dataclass(frozen=True)
@@ -167,9 +167,10 @@ class FeasiblePointResult:
     """Phase-1 outcome: a feasible point or a Farkas-type certificate.
 
     When infeasible, ``certificate`` holds nonnegative multipliers over the
-    rows of the normalized system ``G x <= h`` (see ``inequality_rows``)
-    whose combination proves emptiness: y >= 0, y'G >= 0 on the
-    nonnegative orthant and y'h < 0.
+    rows of the normalized system ``G x <= h`` (``inequality_rows``: the rows
+    of A, for demand the utility row last, then the sign rows) whose
+    combination proves emptiness: y >= 0, y'G >= 0 on the nonnegative
+    orthant and y'h < 0.
     """
 
     feasible: bool
@@ -178,27 +179,16 @@ class FeasiblePointResult:
     gap: float = 0.0
 
 
-def inequality_rows(
-    A: FloatArray,
-    b: FloatArray,
-    floor: tuple[FloatArray, float] | None,
-    n: int,
-) -> tuple[FloatArray, FloatArray]:
+def inequality_rows(A: FloatArray, b: FloatArray) -> tuple[FloatArray, FloatArray]:
     """Normalize all constraints to ``G x <= h``.
 
-    Row order: the rows of A, then the floor row (as -g' x <= -M), then
-    -e_j' x <= 0 for each coordinate.  Every row index reported by the
-    solver refers to this ordering.
+    Row order: the rows of A (for the demand program, the utility row
+    ``-l' x <= -M`` last), then -e_j' x <= 0 for each of the ``A.shape[1]``
+    coordinates.  Every row index reported by the solver refers to this
+    ordering.
     """
-    blocks_g = [np.asarray(A, dtype=float).reshape(-1, n)]
-    blocks_h = [np.asarray(b, dtype=float).reshape(-1)]
-    if floor is not None:
-        g, m_floor = floor
-        blocks_g.append(-np.asarray(g, dtype=float).reshape(1, n))
-        blocks_h.append(np.array([-float(m_floor)]))
-    blocks_g.append(-np.eye(n))
-    blocks_h.append(np.zeros(n))
-    return np.vstack(blocks_g), np.concatenate(blocks_h)
+    n = A.shape[1]
+    return np.vstack([A, -np.eye(n)]), np.concatenate([b, np.zeros(n)])
 
 
 def solve_qp(problem: QpProblem, max_iter: int | None = None) -> QpSolution:
@@ -244,7 +234,7 @@ def solve_prepared(
     """
     if max_iter is None:
         max_iter = 50 * (H.shape[0] + G.shape[0])
-    x, lam, wset, iters, status = _active_set(H, c, G, h, x0, working_set, max_iter)
+    x, lam, wset, iters, status, bumps = _active_set(H, c, G, h, x0, working_set, max_iter)
     residual = math.inf
     if status is not QpStatus.OVERFLOW:  # its residual would overflow too; w = 0 there
         residual, lam = _kkt_residual_on_set(H, c, G, h, x, lam, wset)
@@ -261,6 +251,7 @@ def solve_prepared(
         status=status,
         working_set=tuple(wset),
         multipliers=multipliers,
+        bumps=bumps,
     )
 
 
@@ -283,8 +274,9 @@ def _active_set(
     x0: FloatArray,
     working_set: tuple[int, ...] | None,
     max_iter: int,
-) -> tuple[FloatArray, FloatArray, list[int], int, QpStatus]:
-    """Primal active-set loop.  Returns (x, multipliers, set, iters, status).
+) -> tuple[FloatArray, FloatArray, list[int], int, QpStatus, int]:
+    """Primal active-set loop.  Returns (x, multipliers, set, iters, status,
+    degeneracy-bump rounds).
 
     The KKT matrix ``kkt_matrix(H, Gw)`` of the working set lives in one
     buffer, written in place as rows join and leave: the step solves on its
@@ -328,7 +320,7 @@ def _active_set(
         dmax = _max(abs(d))
         # Only w = 0 (H positive definite) passes a non-finite step: overflow.
         if not math.isfinite(dmax):
-            return x, lam, wset, it, QpStatus.OVERFLOW
+            return x, lam, wset, it, QpStatus.OVERFLOW, bump_rounds
         at_optimum = dmax <= 1e-12 * (1.0 + _max(abs(x)))
         if not at_optimum:
             # Ratio test over rows not in the working set.
@@ -354,15 +346,15 @@ def _active_set(
         # Optimal unless some working-set multiplier is clearly negative;
         # otherwise drop the row with the most negative one.
         if lam.size == 0:
-            return x, lam, wset, it, QpStatus.OPTIMAL
+            return x, lam, wset, it, QpStatus.OPTIMAL, bump_rounds
         k = lam.argmin()
         if lam.item(k) >= -1e-10 * (1.0 + grad_scale):
-            return x, lam, wset, it, QpStatus.OPTIMAL
+            return x, lam, wset, it, QpStatus.OPTIMAL, bump_rounds
         free[wset.pop(k)] = True
         # Shift the later rows up by one: the working set keeps its order.
         kkt[n + k : m - 1, :n] = kkt[n + k + 1 : m, :n]
         kkt[:n, n + k : m - 1] = kkt[:n, n + k + 1 : m]
-    return x, lam, wset, it, QpStatus.ITER_LIMIT
+    return x, lam, wset, it, QpStatus.ITER_LIMIT, bump_rounds
 
 
 def _initial_working_set(
@@ -572,11 +564,10 @@ def _as_vector(v, name: str) -> FloatArray:
 
 def _as_matrix(m, name: str, ncols: int | None = None) -> FloatArray:
     arr = np.asarray(m, dtype=float)
-    if arr.ndim == 1:
-        if arr.size == 0 and ncols is not None:
-            arr = arr.reshape(0, ncols)
-        else:
-            arr = arr.reshape(1, -1)
+    if arr.size == 0 and ncols is not None:
+        arr = arr.reshape(0, ncols)
+    elif arr.ndim == 1:
+        arr = arr.reshape(1, -1)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be a matrix")
     if not np.all(np.isfinite(arr)):

@@ -16,17 +16,9 @@ from eqprice.qp import QpProblem
 
 
 def constraint_rows(problem: QpProblem) -> tuple[np.ndarray, np.ndarray]:
-    """All rows as G x <= h: A rows, floor row (negated), sign rows."""
+    """All rows as G x <= h: A rows, then sign rows."""
     n = problem.n
-    rows = [np.asarray(problem.A, dtype=float).reshape(-1, n)]
-    rhs = [np.asarray(problem.b, dtype=float).reshape(-1)]
-    if problem.floor is not None:
-        g, floor_val = problem.floor
-        rows.append(-np.asarray(g, dtype=float).reshape(1, n))
-        rhs.append(np.array([-float(floor_val)]))
-    rows.append(-np.eye(n))
-    rhs.append(np.zeros(n))
-    return np.vstack(rows), np.concatenate(rhs)
+    return np.vstack([problem.A, -np.eye(n)]), np.concatenate([problem.b, np.zeros(n)])
 
 
 def enumerate_qp(problem: QpProblem, feas_tol: float = 1e-8, dual_tol: float = 1e-8):
@@ -71,11 +63,13 @@ def enumerate_qp(problem: QpProblem, feas_tol: float = 1e-8, dual_tol: float = 1
     return best_x
 
 
-def random_qp(rng: np.random.Generator, with_floor: bool | None = None):
+def random_qp(rng: np.random.Generator, with_utility_row: bool | None = None):
     """Small random strictly convex QP with a known strictly feasible point.
 
     Returns (problem, z) where z is feasible with margin, so phase-1 and
-    warm starts can be exercised against it.
+    warm starts can be exercised against it.  A utility row ``g'x >= M``
+    (random unless ``with_utility_row`` says) is the last row of ``A, b``,
+    as ``-g'x <= -M``.
     """
     n = int(rng.integers(1, 4))
     m = int(rng.integers(0, 4))
@@ -85,9 +79,7 @@ def random_qp(rng: np.random.Generator, with_floor: bool | None = None):
     z = np.abs(rng.normal(size=n)) + 0.1
     A = rng.uniform(-1.0, 1.0, size=(m, n))
     b = A @ z + rng.uniform(0.1, 1.0, size=m)
-    floor = None
-    if with_floor if with_floor is not None else bool(rng.integers(0, 2)):
+    if with_utility_row if with_utility_row is not None else bool(rng.integers(0, 2)):
         g = np.abs(rng.normal(size=n)) + 0.05
-        floor = (g, float(g @ z - rng.uniform(0.1, 1.0)))
-    problem = QpProblem(Q=Q, q=q, A=A, b=b, floor=floor)
-    return problem, z
+        A, b = np.vstack([A, -g]), np.append(b, -float(g @ z - rng.uniform(0.1, 1.0)))
+    return QpProblem(Q=Q, q=q, A=A, b=b), z

@@ -258,19 +258,28 @@ class TestSolveCommand:
 OUTPUTS = [("solve", "--out"), ("solve", "--trace"), ("trace", "--csv"), ("bench", "--csv")]
 
 
+CASES = ["missing", "is-a-directory", "parent-is-a-file"]
+
+
 @pytest.mark.parametrize(
-    "command, option, existing_directory",
-    [(*output, False) for output in OUTPUTS] + [(*output, True) for output in OUTPUTS],
-    ids=[f"{c}-{o}" for c, o in OUTPUTS] + [f"{c}-{o}-is-a-directory" for c, o in OUTPUTS],
+    "command, option, case",
+    [(*output, case) for case in CASES for output in OUTPUTS],
+    ids=[
+        f"{c}-{o}" + ("" if case == "missing" else f"-{case}") for case in CASES for c, o in OUTPUTS
+    ],
 )
 def test_missing_output_directory_fails_before_solving(
-    saturated_path, tmp_path, capsys, monkeypatch, command, option, existing_directory
+    saturated_path, tmp_path, capsys, monkeypatch, command, option, case
 ):
     monkeypatch.setattr(cli, "_solve_instance", lambda *args, **kw: pytest.fail("solved"))
-    if existing_directory:
+    if case == "is-a-directory":
         target = tmp_path / "out"
         target.mkdir()
         stderr = f"error: {option}: {target} is a directory\n"
+    elif case == "parent-is-a-file":
+        target = tmp_path / "file" / "out"
+        target.parent.write_text("kept\n")
+        stderr = f"error: {option}: {target.parent} is not a directory\n"
     else:
         target = tmp_path / "missing" / "out"
         stderr = f"error: {option}: directory {target.parent} does not exist\n"
@@ -279,7 +288,12 @@ def test_missing_output_directory_fails_before_solving(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == stderr
-    assert not any(target.iterdir()) if existing_directory else not target.parent.exists()
+    if case == "is-a-directory":
+        assert not any(target.iterdir())
+    elif case == "parent-is-a-file":
+        assert target.parent.read_text() == "kept\n"
+    else:
+        assert not target.parent.exists()
 
 
 @pytest.mark.parametrize("command, option", OUTPUTS, ids=[f"{c}-{o}" for c, o in OUTPUTS])

@@ -544,13 +544,13 @@ class TestEvaluatorFootprint:
         ):
             a, b = getattr(one, kind), getattr(two, kind)
             problem = build(inst, inst.p0)
-            G, h = qp.inequality_rows(problem.A, problem.b, problem.floor, problem.n)
+            G, h = qp.inequality_rows(problem.A, problem.b)
             expected = (problem.Q + problem.Q.T, G, h)
             for name, shared, rows in zip("HGh", program.prepared, expected):
                 assert getattr(a, name) is getattr(b, name) is shared
                 assert not shared.flags.writeable
                 np.testing.assert_array_equal(shared, rows)
-        assert one._supply.G.shape[0] + 1 == one._demand.G.shape[0]  # the floor row
+        assert one._supply.G.shape[0] + 1 == one._demand.G.shape[0]  # the utility row
         other = ExcessEvaluator(self.instance(10, 8, trial=1))
         assert other._supply.G is not one._supply.G
 

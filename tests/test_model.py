@@ -141,6 +141,46 @@ class TestValidateInstance:
             combined_1d.costs.C[0, 0] = 99.0
 
 
+class TestInnerPrograms:
+    """The row layout of the two inner programs, ``prepared = (H, G, h)``."""
+
+    @staticmethod
+    def assert_same_bits(got, expected):
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+    def test_row_layout_is_pinned(self):
+        inst = random_instance(GenConfig(n=10, m=8, seed=42))
+        A, b, n, m = inst.feasible.A, inst.feasible.b, inst.n, inst.m
+        C, B, l, M = inst.costs.C, inst.costs.B, inst.costs.l, inst.costs.M
+        supply, demand = inst.supply_program.prepared, inst.demand_program.prepared
+        G = np.vstack([A, -np.eye(n)])
+        h = np.concatenate([b, np.zeros(n)])
+        for got, expected in zip(supply, (C + C.T, G, h)):
+            self.assert_same_bits(got, expected)
+        G = np.vstack([A, -l, -np.eye(n)])
+        h = np.concatenate([b, [-M], np.zeros(n)])
+        for got, expected in zip(demand, (B + B.T, G, h)):
+            self.assert_same_bits(got, expected)
+        # Row m is the utility row l'x >= M.
+        assert demand[1].shape == (m + 1 + n, n)
+        self.assert_same_bits(demand[1][m], -l)
+        assert demand[2][m] == -M
+
+    def test_without_rows_the_utility_row_is_the_only_one(self):
+        inst = ModelInstance.build(
+            AgentCosts(C=np.eye(2), B=np.eye(2), l=[1.0, 2.0], M=3.0),
+            FeasibleSet(A=[], b=[]),
+            PriceDomain.orthant(),
+            [1.0, 1.0],
+        )
+        assert inst.feasible.A.shape == (0, 0)
+        assert inst.supply_program.A.shape == (0, 2)
+        np.testing.assert_array_equal(inst.demand_program.A, [[-1.0, -2.0]])
+        np.testing.assert_array_equal(inst.demand_program.b, [-3.0])
+        assert validate_instance(inst) == []
+
+
 class TestSupplyLipschitz:
     def test_diagonal_costs_meet_derived_constant(self, rng):
         # C diagonal makes the supply map componentwise and the constant

@@ -23,16 +23,26 @@ from eqprice.qp import (
     inequality_rows,
     solve_qp,
 )
-from oracles import constraint_rows, enumerate_qp, random_qp
+from oracles import enumerate_qp, random_qp
+
+
+def with_utility_row(A, b, g, M):
+    """``A, b`` with ``g'x >= M`` as their last row, ``-g'x <= -M``, as the
+    demand program writes its utility floor."""
+    return np.vstack([A, np.negative(g)]), np.append(b, -M)
 
 
 def box_problem(q_val: float, floor=None) -> QpProblem:
-    return QpProblem(Q=[[1.0]], q=[q_val], A=[[1.0]], b=[10.0], floor=floor)
+    """min x^2 + q x on [0, 10], with the row ``g'x >= M`` of ``floor = (g, M)`` last."""
+    A, b = [[1.0]], [10.0]
+    if floor is not None:
+        A, b = with_utility_row(A, b, *floor)
+    return QpProblem(Q=[[1.0]], q=[q_val], A=A, b=b)
 
 
-def region(A, b, n: int, floor=None) -> QpProblem:
-    """The polyhedron ``A x <= b``, ``g'x >= M``, ``x >= 0`` as a program (Q = I, q = 0)."""
-    return QpProblem(Q=np.eye(n), q=np.zeros(n), A=A, b=b, floor=floor)
+def region(A, b, n: int) -> QpProblem:
+    """The polyhedron ``A x <= b``, ``x >= 0`` as a program (Q = I, q = 0)."""
+    return QpProblem(Q=np.eye(n), q=np.zeros(n), A=A, b=b)
 
 
 def solve_from(problem: QpProblem, x0, max_iter=None):
@@ -66,7 +76,7 @@ class TestSolveQp:
         np.testing.assert_allclose(sol.x, [10.0], atol=1e-10)
 
     def test_infeasible_returns_certificate(self):
-        problem = QpProblem(Q=[[1.0]], q=[0.0], A=[[1.0]], b=[1.0], floor=([1.0], 2.0))
+        problem = QpProblem(Q=[[1.0]], q=[0.0], A=[[1.0], [-1.0]], b=[1.0, -2.0])  # 2 <= x <= 1
         sol = solve_qp(problem)
         assert sol.status is QpStatus.INFEASIBLE
         assert sol.certificate is not None
@@ -76,6 +86,10 @@ class TestSolveQp:
         assert np.all(y >= -1e-12)
         assert float(y @ h) < -1e-6
         assert np.all(G.T @ y >= -1e-9)
+
+    def test_rows_must_have_one_column_per_variable(self):
+        with pytest.raises(ValueError, match="A column count does not match Q"):
+            QpProblem(Q=np.eye(2), q=[0.0, 0.0], A=[[1.0, 1.0, 1.0]], b=[1.0])
 
     def test_iteration_limit_status(self):
         problem, z = random_qp(np.random.default_rng(5))
@@ -135,7 +149,7 @@ class TestAgainstEnumeration:
         rng = np.random.default_rng(7)
         shrunk = 0
         for _ in range(20):
-            problem, z = random_qp(rng, with_floor=False)
+            problem, z = random_qp(rng, with_utility_row=False)
             _, G, h = problem.prepared
 
             def feasible(x):
@@ -172,12 +186,12 @@ class TestCheckKkt:
 
 class TestFeasiblePoint:
     def test_interval_intersection(self):
-        res = feasible_point(region([[1.0]], [10.0], 1, floor=([1.0], 2.0)))
+        res = feasible_point(region([[1.0], [-1.0]], [10.0, -2.0], 1))
         assert res.feasible
         assert 2.0 - 1e-9 <= res.x[0] <= 10.0 + 1e-9
 
     def test_contradictory_floor(self):
-        res = feasible_point(region([[1.0]], [1.0], 1, floor=([1.0], 2.0)))
+        res = feasible_point(region([[1.0], [-1.0]], [1.0, -2.0], 1))
         assert not res.feasible
         assert res.gap > 0.5
         # y >= 0 with y'G >= 0 on x >= 0 and y'h < 0 proves emptiness.
@@ -219,9 +233,10 @@ class TestFeasiblePoint:
             feasible_point(region([[1.0]], [-1.0], 1))
 
 
-def _elastic_lp(A, b, floor, n):
+def _elastic_lp(A, b):
     """The phase-1 LP that ``feasible_point`` builds: ``(c, A_ub, b_ub)``."""
-    G, h = inequality_rows(A, b, floor, n)
+    G, h = inequality_rows(A, b)
+    n = A.shape[1]
     rows = G.shape[0] - n
     a_ub = np.hstack([G[:rows], -np.eye(rows)])
     return np.concatenate([np.zeros(n), np.ones(rows)]), a_ub, h[:rows]
@@ -253,9 +268,10 @@ class TestHighsLp:
         for _ in range(100):
             n, m = (int(k) for k in rng.integers(1, 8, size=2))
             A, b = rng.normal(size=(m, n)), rng.normal(size=m)
-            floor = (rng.uniform(0.0, 1.0, n), float(rng.uniform(0.0, 5.0))) if rng.integers(2) else None
-            assert self.assert_same_bits(*_elastic_lp(A, b, floor, n))
-            outcomes.add(feasible_point(region(A, b, n, floor)).feasible)
+            if rng.integers(2):
+                A, b = with_utility_row(A, b, rng.uniform(0.0, 1.0, n), float(rng.uniform(0.0, 5.0)))
+            assert self.assert_same_bits(*_elastic_lp(A, b))
+            outcomes.add(feasible_point(region(A, b, n)).feasible)
         assert outcomes == {True, False}
 
     # (c, A_ub, b_ub) with a zero column, -0.0 entries, a NaN entry and no rows.
@@ -362,19 +378,17 @@ def dependent_problem() -> QpProblem:
 
 
 class TestPerturbationPolicy:
-    def test_dependent_working_set_is_relaxed(self, monkeypatch):
-        kkt_step = qp_module._kkt_step
-        steps = []
-
-        def recording_step(*args):
-            steps.append(kkt_step(*args))
-            return steps[-1]
-
-        monkeypatch.setattr(qp_module, "_kkt_step", recording_step)
+    def test_dependent_working_set_is_relaxed(self):
         sol = solve_from(dependent_problem(), [1.0, 1.0])
-        assert any(step is None for step in steps)
+        assert sol.bumps >= 1
         assert sol.status is QpStatus.OPTIMAL
         np.testing.assert_allclose(sol.x, [1.0, 1.0], atol=1e-7)
+
+    def test_independent_working_set_takes_no_bump(self):
+        problem, _ = random_qp(np.random.default_rng(5))
+        sol = solve_qp(problem)
+        assert sol.status is QpStatus.OPTIMAL and len(sol.working_set) == 2
+        assert sol.bumps == 0
 
 
 class TestReductions:
