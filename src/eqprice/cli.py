@@ -126,12 +126,10 @@ def _load_and_validate(path: str, skip: tuple[str, ...] = ()) -> ModelInstance:
     report = [issue for issue in validate_instance(instance) if issue.code not in skip]
     errors = [issue for issue in report if issue.severity == "error"]
     if errors:
-        raise InstanceFormatError(
-            "; ".join(f"{issue.code}: {issue.message}" for issue in errors)
-        )
+        raise InstanceFormatError("; ".join(map(str, errors)))
     for issue in report:
         if issue.severity == "warning":
-            print(f"warning: {issue.code}: {issue.message}", file=sys.stderr)
+            print(f"warning: {issue}", file=sys.stderr)
     return instance
 
 

@@ -188,7 +188,8 @@ def generate(config: GenConfig) -> GeneratedInstance:
                 attempts=attempt,
             )
         last_report = report
-    raise GenerationFailed(f"100 attempts exhausted; last report: {last_report}")
+    issues = "; ".join(map(str, last_report))
+    raise GenerationFailed(f"100 attempts exhausted; last report: {issues}")
 
 
 def random_instance(config: GenConfig) -> ModelInstance:

@@ -31,7 +31,7 @@ import numpy as np
 import numpy.typing as npt
 
 from . import qp
-from .model import ModelInstance, as_price, eta_out_of_range
+from .model import ModelInstance, as_eta, as_price
 
 FloatArray = npt.NDArray[np.float64]
 
@@ -47,7 +47,7 @@ class InnerSolveFailed(RuntimeError):
 
 
 class EtaOutOfRange(UserWarning):
-    """A map step outside (0, 2 mu_F]; the projected step may be expansive."""
+    """A map step above 2 mu_F; the projected step may be expansive."""
 
 
 @dataclass(frozen=True)
@@ -246,10 +246,7 @@ class ExcessEvaluator:
     def _eta(self, eta: float | None) -> float:
         if eta is None:
             return self.instance.constants.eta
-        eta = float(eta)
-        if not math.isfinite(eta):
-            raise ValueError("eta must be finite")
-        text = eta_out_of_range(eta, self.instance.constants.mu_F)
+        eta, text = as_eta(eta, self.instance.constants.mu_F)
         if text is not None:
             warnings.warn(text, EtaOutOfRange, stacklevel=3)
         return eta

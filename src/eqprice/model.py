@@ -61,11 +61,19 @@ def as_price(values, n: int) -> tuple[FloatArray, float]:
     return p, pmax
 
 
-def eta_out_of_range(eta: float, mu_F: float) -> str | None:
-    """The warning text for a map step outside (0, 2 mu_F], else None."""
-    if 0.0 < eta <= 2.0 * mu_F + 1e-12:
-        return None
-    return f"eta = {eta:g} outside (0, {2.0 * mu_F:g}]"
+def as_eta(eta, mu_F: float) -> tuple[float, str | None]:
+    """The map step as a float, and the warning text when it lies above 2 mu_F.
+
+    At eta <= 0 the projected step fixes every price, so that is an error.
+    """
+    eta = float(eta)
+    if not math.isfinite(eta):
+        raise ValueError("eta must be finite")
+    if not eta > 0.0:
+        raise ValueError("eta must be positive")
+    if eta <= 2.0 * mu_F + 1e-12:
+        return eta, None
+    return eta, f"eta = {eta:g} outside (0, {2.0 * mu_F:g}]"
 
 
 @dataclass(frozen=True)
@@ -212,7 +220,7 @@ def compute_constants(costs: AgentCosts, eta: float | None = None) -> ModelConst
 
     Raises NotPositiveDefinite when either form has smallest eigenvalue at
     or below 1e-12.  ``eta`` defaults to mu_F, the midpoint of the
-    admissible interval (0, 2*mu_F].
+    admissible interval (0, 2*mu_F]; ``as_eta`` checks it.
     """
     for name, mat in (("C", costs.C), ("B", costs.B)):
         if float(np.max(np.abs(mat - mat.T), initial=0.0)) > SYMMETRY_TOL:
@@ -226,13 +234,7 @@ def compute_constants(costs: AgentCosts, eta: float | None = None) -> ModelConst
     mu_c = 2.0 * lam_c
     mu_t = 2.0 * lam_b
     mu_f = 0.5 * min(mu_c, mu_t)
-    if eta is None:
-        eta = mu_f
-    eta = float(eta)
-    if not 0.0 < eta:
-        raise ValueError("eta must be positive")
-    if not math.isfinite(eta):
-        raise ValueError("eta must be finite")
+    eta, _ = as_eta(mu_f if eta is None else eta, mu_f)
     return ModelConstants(mu_c=mu_c, mu_t=mu_t, mu_F=mu_f, L_c=1.0 / mu_c, L_t=1.0 / mu_t, eta=eta)
 
 
@@ -240,8 +242,6 @@ def compute_constants(costs: AgentCosts, eta: float | None = None) -> ModelConst
 class ModelInstance:
     """Immutable bundle of all problem data plus derived constants."""
 
-    n: int
-    m: int
     costs: AgentCosts
     feasible: FeasibleSet
     domain: PriceDomain
@@ -250,12 +250,8 @@ class ModelInstance:
     p0_projected: bool = field(default=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.costs.n != self.n:
-            raise ValueError("cost matrices do not match dimension n")
-        if self.feasible.n != self.n and self.feasible.m > 0:
+        if self.feasible.n != self.n and self.m > 0:
             raise ValueError("A column count does not match dimension n")
-        if self.feasible.m != self.m:
-            raise ValueError("A row count does not match m")
         if self.domain.kind == BOX and self.domain.lower.shape[0] != self.n:
             raise ValueError("box bounds do not match dimension n")
         p0, _ = as_price(self.p0, self.n)
@@ -263,6 +259,16 @@ class ModelInstance:
         moved = bool(np.max(np.abs(projected - p0), initial=0.0) > 0.0)
         object.__setattr__(self, "p0", _freeze(projected))
         object.__setattr__(self, "p0_projected", moved)
+
+    @property
+    def n(self) -> int:
+        """The dimension, read from the cost forms."""
+        return self.costs.n
+
+    @property
+    def m(self) -> int:
+        """The row count of A."""
+        return self.feasible.m
 
     @classmethod
     def build(
@@ -274,15 +280,7 @@ class ModelInstance:
         eta: float | None = None,
     ) -> "ModelInstance":
         constants = compute_constants(costs, eta=eta)
-        return cls(
-            n=costs.n,
-            m=feasible.m,
-            costs=costs,
-            feasible=feasible,
-            domain=domain,
-            p0=np.asarray(p0, dtype=float),
-            constants=constants,
-        )
+        return cls(costs=costs, feasible=feasible, domain=domain, p0=p0, constants=constants)
 
     @cached_property
     def supply_program(self) -> qp.QpProblem:
@@ -306,14 +304,18 @@ class ValidationIssue:
     message: str
     severity: str = "error"
 
+    def __str__(self) -> str:
+        return f"{self.code}: {self.message}"
+
 
 def data_issues(instance: ModelInstance) -> list[ValidationIssue]:
     """The findings a built instance can have that need no solve.
 
     ``build`` already rejects asymmetric and non-positive-definite cost
-    forms and derives the constants, so what is left is M > 0, b >= 0
-    (x = 0 in X, so X is nonempty), eta inside (0, 2 mu_F] and whether p0
-    had to be projected into the domain; the last two are warnings.
+    forms and a step that is not finite and positive, and derives the
+    constants, so what is left is M > 0, b >= 0 (x = 0 in X, so X is
+    nonempty), eta at most 2 mu_F and whether p0 had to be projected into
+    the domain; the last two are warnings.
     """
     issues = []
     costs, c = instance.costs, instance.constants
@@ -325,7 +327,7 @@ def data_issues(instance: ModelInstance) -> list[ValidationIssue]:
                 "EmptyFeasibleSet", "b has negative entries, so x = 0 violates Ax <= b"
             )
         )
-    eta_text = eta_out_of_range(c.eta, c.mu_F)
+    _, eta_text = as_eta(c.eta, c.mu_F)
     if eta_text is not None:
         issues.append(ValidationIssue("EtaOutOfRange", eta_text, severity="warning"))
     if instance.p0_projected:

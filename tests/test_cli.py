@@ -2,13 +2,25 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from eqprice import cli
 from eqprice.cli import main, run_bench, trial_seed, write_bench_csv
-from eqprice.model import instance_to_json, save_instance
+from eqprice.gen import GenConfig, random_instance
+from eqprice.model import (
+    AgentCosts,
+    FeasibleSet,
+    ModelInstance,
+    PriceDomain,
+    instance_to_json,
+    save_instance,
+)
 from conftest import make_combined_1d, make_saturated_1d
 
 
@@ -75,6 +87,50 @@ class TestSolveCommand:
         bad.write_text("{not json")
         assert main(["solve", str(bad)]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_document_that_is_a_list_fails_cleanly(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps([instance_to_json(make_combined_1d())]))
+        assert main(["solve", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: instance document must be a JSON object\n"
+
+    def test_saved_instance_without_rows_solves_as_in_process(self, tmp_path, capsys):
+        # X = {x >= 0}: the file's empty A loads through the loader's zero-row
+        # branch, and the solve from the file gives the in-process answer.
+        inst = ModelInstance.build(
+            AgentCosts(C=np.eye(2), B=np.eye(2), l=[1.0, 2.0], M=3.0),
+            FeasibleSet(A=[], b=[]),
+            PriceDomain.orthant(),
+            [1.0, 1.0],
+        )
+        path = tmp_path / "rowless.json"
+        save_instance(path, inst)
+        assert main(["solve", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        expected = cli._solve_instance(inst, 1e-4, 10_000, None, 1.0, 1)
+        assert doc["solution"] == expected.solution.tolist()
+        assert doc["iterations"] == expected.iterations
+
+    def test_stdout_of_a_child_process_is_only_the_report(self, tmp_path):
+        # HiGHS's C++ layer can print to file descriptor 1 directly, which
+        # capsys does not see; a fresh interpreter's whole stdout must parse.
+        path = tmp_path / "cold.json"
+        save_instance(path, random_instance(GenConfig(n=5, m=3, seed=42)))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "eqprice", "solve", str(path)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": pythonpath},
+            timeout=300,
+        )
+        assert done.stderr == ""
+        assert done.returncode == 0
+        doc = json.loads(done.stdout)
+        assert doc["termination"] == "converged" and len(doc["solution"]) == 5
 
     def test_iteration_limit_exit_code_with_partial_trace(self, combined_path, tmp_path):
         trace = tmp_path / "trace.csv"
@@ -201,7 +257,15 @@ class TestSolveCommand:
             ({}, ["--weight", "inf"], "error: weight must be finite\n"),
             ({}, ["--eta", "inf"], "error: eta must be finite\n"),
             ({}, ["--eta", "nan"], "error: eta must be finite\n"),
+            ({}, ["--eta", "0"], "error: eta must be positive\n"),
+            ({}, ["--eta", "-1"], "error: eta must be positive\n"),
             ({"eta": float("inf")}, [], "error: eta must be finite\n"),
+            ({"eta": 0}, [], "error: eta must be positive\n"),
+            (
+                {"domain": {"kind": "box", "lower": [0.0]}},
+                [],
+                "error: box domain requires key 'upper'\n",
+            ),
             (
                 {"n": 0, "m": 0, "C": [], "B": [], "l": [], "A": [], "b": [], "p0": []},
                 [],
@@ -230,7 +294,11 @@ class TestSolveCommand:
             "weight-inf",
             "eta-inf",
             "eta-nan",
+            "eta-zero",
+            "eta-negative",
             "file-eta-inf",
+            "file-eta-zero",
+            "box-without-upper",
             "n-zero",
             "huge-floor",
             "huge-A",
@@ -408,7 +476,26 @@ class TestBenchCommand:
         assert captured.out == ""
         err = captured.err.splitlines()
         assert len(err) == 1
-        assert err[0].startswith("error: 100 attempts exhausted; ")
+        assert err[0].startswith("error: 100 attempts exhausted; last report: EtaOutOfRange: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "eta, stderr",
+        [
+            ("0", "error: eta must be positive\n"),
+            ("-1", "error: eta must be positive\n"),
+            ("nan", "error: eta must be finite\n"),
+            ("inf", "error: eta must be finite\n"),
+        ],
+        ids=["zero", "negative", "nan", "inf"],
+    )
+    def test_bad_eta_reads_as_in_solve(self, tmp_path, capsys, eta, stderr):
+        out = tmp_path / "out.csv"
+        args = ["bench", "--n", "2", "--m", "1", "--trials", "1", "--eta", eta, "--csv", str(out)]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == stderr
         assert not out.exists()
 
     def test_box_domain_sweep(self, tmp_path):
@@ -426,6 +513,7 @@ class TestBenchCommand:
         rows2, _ = run_bench([2, 3], [1, 2], **args)
         assert [r.avg_iterations for r in rows1] == [r.avg_iterations for r in rows2]
 
+    @pytest.mark.bits
     def test_protocol_iteration_column_is_pinned(self):
         # The first two sizes of the bench protocol (seed 42, eta 2 mu_F,
         # weight 0.25, zero start); any drift in the floating-point path

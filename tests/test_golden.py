@@ -9,7 +9,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from eqprice import maps
+
+pytestmark = pytest.mark.bits
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = str(Path(maps.__file__).resolve().parents[1])

@@ -1,6 +1,7 @@
 """Model data types, derived constants, validation and the JSON schema."""
 
 import copy
+import dataclasses
 import json
 import warnings
 
@@ -24,6 +25,7 @@ from eqprice.model import (
     instance_from_json,
     instance_to_json,
     load_instance,
+    save_instance,
     validate_instance,
 )
 from conftest import make_combined_1d
@@ -134,6 +136,11 @@ class TestValidateInstance:
         assert any(issue.code == "P0Projected" for issue in report)
         assert not any(i.severity == "error" for i in report)
 
+    def test_dimensions_are_read_from_the_data(self, combined_1d):
+        inst = combined_1d
+        assert (inst.n, inst.m) == (inst.costs.n, inst.feasible.m) == (1, 1)
+        assert not {"n", "m"} & {f.name for f in dataclasses.fields(ModelInstance)}
+
     def test_instance_arrays_are_readonly(self, combined_1d):
         with pytest.raises(ValueError):
             combined_1d.p0[0] = 99.0
@@ -149,6 +156,7 @@ class TestInnerPrograms:
         assert got.dtype == expected.dtype and got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
 
+    @pytest.mark.bits
     def test_row_layout_is_pinned(self):
         inst = random_instance(GenConfig(n=10, m=8, seed=42))
         A, b, n, m = inst.feasible.A, inst.feasible.b, inst.n, inst.m
@@ -167,18 +175,37 @@ class TestInnerPrograms:
         self.assert_same_bits(demand[1][m], -l)
         assert demand[2][m] == -M
 
-    def test_without_rows_the_utility_row_is_the_only_one(self):
-        inst = ModelInstance.build(
+    @staticmethod
+    def without_rows() -> ModelInstance:
+        return ModelInstance.build(
             AgentCosts(C=np.eye(2), B=np.eye(2), l=[1.0, 2.0], M=3.0),
             FeasibleSet(A=[], b=[]),
             PriceDomain.orthant(),
             [1.0, 1.0],
         )
+
+    def test_without_rows_the_utility_row_is_the_only_one(self):
+        inst = self.without_rows()
         assert inst.feasible.A.shape == (0, 0)
         assert inst.supply_program.A.shape == (0, 2)
         np.testing.assert_array_equal(inst.demand_program.A, [[-1.0, -2.0]])
         np.testing.assert_array_equal(inst.demand_program.b, [-3.0])
         assert validate_instance(inst) == []
+
+    def test_saved_instance_without_rows_keeps_its_programs(self, tmp_path):
+        # The loader reads the saved empty A as a 0 x n matrix, where the
+        # built instance holds a 0 x 0 one; both give the same rows.
+        inst = self.without_rows()
+        path = tmp_path / "rowless.json"
+        save_instance(path, inst)
+        loaded = load_instance(path)
+        assert (loaded.n, loaded.m) == (2, 0)
+        assert loaded.feasible.A.shape == (0, 2)
+        for program in ("supply_program", "demand_program"):
+            for got, expected in zip(
+                getattr(loaded, program).prepared, getattr(inst, program).prepared
+            ):
+                self.assert_same_bits(got, expected)
 
 
 class TestSupplyLipschitz:
@@ -330,6 +357,27 @@ class TestSharedRules:
             maps.ExcessEvaluator(base).map_oracle(eta=eta)
         assert [str(w.message) for w in caught] == issues
         assert len(issues) == warns
+
+    @pytest.mark.parametrize(
+        "eta, message",
+        [
+            (0.0, "positive"),
+            (-1.0, "positive"),
+            (np.nan, "finite"),
+            (np.inf, "finite"),
+            (-np.inf, "finite"),
+        ],
+        ids=["zero", "negative", "nan", "inf", "minus-inf"],
+    )
+    def test_eta_error_reads_the_same(self, eta, message):
+        # Finiteness is tested first, so NaN and -inf are not reported as
+        # nonpositive; build reaches the rule through compute_constants.
+        base = make_combined_1d()
+        with pytest.raises(ValueError) as built:
+            ModelInstance.build(base.costs, base.feasible, base.domain, base.p0, eta=eta)
+        with pytest.raises(ValueError) as mapped:
+            maps.ExcessEvaluator(base).map_oracle(eta=eta)
+        assert str(built.value) == str(mapped.value) == f"eta must be {message}"
 
     @pytest.mark.parametrize(
         "price", [[1.0, 2.0], [np.nan], [np.inf]], ids=["length", "nan", "inf"]

@@ -96,6 +96,7 @@ class TestSolveQp:
         sol = solve_from(problem, z, max_iter=1)
         assert sol.status in (QpStatus.ITER_LIMIT, QpStatus.OPTIMAL)
 
+    @pytest.mark.bits
     def test_residual_above_tolerance_is_its_own_status(self, monkeypatch):
         # A loop that passes its sign test but not the residual test is
         # INACCURATE, not ITER_LIMIT; its answer and iterations are unchanged.
@@ -432,6 +433,7 @@ class TestKktMatrix:
         kkt[:n, n:] = Gw.T
         return kkt
 
+    @pytest.mark.bits
     def test_matches_the_hand_built_matrix(self):
         rng = np.random.default_rng(19)
         for n, w in [(1, 0), (1, 1), (3, 0), (3, 2), (4, 4), (6, 3)]:
@@ -445,6 +447,7 @@ class TestKktMatrix:
             np.testing.assert_array_equal(padded[: n + w, : n + w], kkt)
             assert not padded[n + w :].any() and not padded[:, n + w :].any()
 
+    @pytest.mark.bits
     def test_is_what_the_last_step_of_an_optimal_solve_factorized(self, monkeypatch):
         # Every solve runs at several iteration caps, so the loop also stops
         # right after a row joins or leaves.  The recorded step sizes show

@@ -297,6 +297,7 @@ class TestBilevelSolve:
             assert np.linalg.norm(p - pbar) <= bound + 1e-6
 
 
+@pytest.mark.bits
 class TestLoopOutputsArePinned:
     """The outer loop's bookkeeping: trace bits, the exact-fixed-point stop,
     a non-finite map and immutable trace rows."""
