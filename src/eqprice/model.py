@@ -40,12 +40,6 @@ class InstanceFormatError(ValueError):
     """An instance document is malformed; the message names the offender."""
 
 
-def _freeze(arr: FloatArray) -> FloatArray:
-    out = np.array(arr, dtype=float)
-    out.setflags(write=False)
-    return out
-
-
 def as_price(values, n: int) -> tuple[FloatArray, float]:
     """The price as a 1-D float array of length n, and its max|p|.
 
@@ -91,12 +85,8 @@ class PriceDomain:
             if self.lower is not None or self.upper is not None:
                 raise ValueError("orthant domain carries no bounds")
             return
-        lo = _freeze(np.asarray(self.lower, dtype=float).reshape(-1))
-        hi = _freeze(np.asarray(self.upper, dtype=float).reshape(-1))
-        if lo.shape != hi.shape:
-            raise ValueError("box bounds have mismatched lengths")
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-            raise ValueError("box bounds 'lower' and 'upper' must be finite")
+        lo = qp.as_floats(self.lower, "lower", (None,))
+        hi = qp.as_floats(self.upper, "upper", lo.shape)
         if np.any(lo > hi):
             raise ValueError("box bound 'lower' exceeds 'upper'")
         object.__setattr__(self, "lower", lo)
@@ -138,24 +128,13 @@ class FeasibleSet:
     b: FloatArray
 
     def __post_init__(self) -> None:
-        A = np.asarray(self.A, dtype=float)
-        if A.ndim == 1:
-            A = A.reshape(1, -1) if A.size else A.reshape(0, 0)
-        b = np.asarray(self.b, dtype=float).reshape(-1)
-        if A.shape[0] != b.shape[0]:
-            raise ValueError("A and b row counts differ")
-        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
-            raise ValueError("A and b must be finite")
-        object.__setattr__(self, "A", _freeze(A))
-        object.__setattr__(self, "b", _freeze(b))
+        A = qp.as_floats(self.A, "A", (None, None))
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "b", qp.as_floats(self.b, "b", A.shape[:1]))
 
     @property
     def m(self) -> int:
         return self.A.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.A.shape[1]
 
 
 @dataclass(frozen=True)
@@ -168,23 +147,13 @@ class AgentCosts:
     M: float
 
     def __post_init__(self) -> None:
-        C = np.asarray(self.C, dtype=float)
-        B = np.asarray(self.B, dtype=float)
-        l = np.asarray(self.l, dtype=float).reshape(-1)
-        if C.ndim != 2 or C.shape[0] != C.shape[1]:
+        C = qp.as_floats(self.C, "C", (None, None))
+        if C.shape[0] != C.shape[1]:
             raise ValueError("C must be square")
-        if B.shape != C.shape:
-            raise ValueError("B must match the shape of C")
-        if l.shape[0] != C.shape[0]:
-            raise ValueError("l length does not match C")
-        if not (np.all(np.isfinite(C)) and np.all(np.isfinite(B)) and np.all(np.isfinite(l))):
-            raise ValueError("cost data must be finite")
-        if not np.isfinite(self.M):
-            raise ValueError("M must be finite")
-        object.__setattr__(self, "C", _freeze(C))
-        object.__setattr__(self, "B", _freeze(B))
-        object.__setattr__(self, "l", _freeze(l))
-        object.__setattr__(self, "M", float(self.M))
+        object.__setattr__(self, "C", C)
+        object.__setattr__(self, "B", qp.as_floats(self.B, "B", C.shape))
+        object.__setattr__(self, "l", qp.as_floats(self.l, "l", C.shape[:1]))
+        object.__setattr__(self, "M", float(qp.as_floats(self.M, "M", ())))
 
     @property
     def n(self) -> int:
@@ -250,14 +219,17 @@ class ModelInstance:
     p0_projected: bool = field(default=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.feasible.n != self.n and self.m > 0:
-            raise ValueError("A column count does not match dimension n")
+        A = qp.as_floats(self.feasible.A, "A", (None, self.n))  # a row-less A gets n columns
+        if A.shape != self.feasible.A.shape:
+            object.__setattr__(self, "feasible", FeasibleSet(A=A, b=self.feasible.b))
         if self.domain.kind == BOX and self.domain.lower.shape[0] != self.n:
             raise ValueError("box bounds do not match dimension n")
-        p0, _ = as_price(self.p0, self.n)
+        # Named as the maps name a price, so a bad p0 reads as a bad price there.
+        p0, _ = as_price(qp.as_floats(self.p0, "price vector", (None,)), self.n)
         projected = self.domain.project(p0)
+        projected.flags.writeable = False
         moved = bool(np.max(np.abs(projected - p0), initial=0.0) > 0.0)
-        object.__setattr__(self, "p0", _freeze(projected))
+        object.__setattr__(self, "p0", projected)
         object.__setattr__(self, "p0_projected", moved)
 
     @property
@@ -294,7 +266,7 @@ class ModelInstance:
         The utility floor is the last row of its ``A, b``, ``-l'x <= -M``: row ``m``.
         """
         costs, feasible = self.costs, self.feasible
-        A = np.vstack([feasible.A.reshape(-1, self.n), -costs.l])
+        A = np.vstack([feasible.A, -costs.l])
         return qp.QpProblem(Q=costs.B, q=np.zeros(self.n), A=A, b=np.append(feasible.b, -costs.M))
 
 
@@ -371,6 +343,9 @@ def validate_instance(instance: ModelInstance) -> list[ValidationIssue]:
 # Instance JSON schema.  Top-level keys: n, m, C, B, l, M, A, b, domain, p0.
 # Matrices are row-major arrays of arrays; all numbers IEEE doubles.  The
 # optional key "eta" (step override) is honored; unknown keys are ignored.
+# Each value is read by qp.as_floats, the reader of every constructor, at
+# the shape that n and m give: true, a string or null where a number belongs
+# is an error naming its key, and an A without rows is 0 x n.
 # ---------------------------------------------------------------------------
 
 _REQUIRED_KEYS = ("n", "m", "C", "B", "l", "M", "A", "b", "domain", "p0")
@@ -387,41 +362,18 @@ def instance_from_json(doc: dict) -> ModelInstance:
         if key not in doc:
             raise InstanceFormatError(f"missing required key '{key}'")
 
-    def number(key: str) -> float:
+    def read(key: str, shape: tuple[int, ...], source: dict = doc) -> FloatArray:
         try:
-            return float(doc[key])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InstanceFormatError(f"key '{key}' is not a number: {exc}") from exc
+            return qp.as_floats(source[key], f"key '{key}'", shape)
+        except ValueError as exc:
+            raise InstanceFormatError(str(exc)) from exc
 
-    def count(key: str) -> int:
-        value = number(key)
-        if not (value.is_integer() and value >= 0):
+    for key in ("n", "m"):
+        if not (float(read(key, ())).is_integer() and doc[key] >= 0):
             raise InstanceFormatError(
                 f"key '{key}' must be a nonnegative integer, got {doc[key]!r}"
             )
-        return int(value)
-
-    def matrix(key: str, rows: int, cols: int) -> FloatArray:
-        try:
-            arr = np.asarray(doc[key], dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InstanceFormatError(f"key '{key}' is not numeric: {exc}") from exc
-        if rows == 0 and arr.size == 0:
-            return np.zeros((0, cols))
-        if arr.shape != (rows, cols):
-            raise InstanceFormatError(f"key '{key}' must be {rows}x{cols}, got {arr.shape}")
-        return arr
-
-    def vector(key: str, length: int, source: dict = doc) -> FloatArray:
-        try:
-            arr = np.asarray(source[key], dtype=float).reshape(-1)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InstanceFormatError(f"key '{key}' is not numeric: {exc}") from exc
-        if arr.shape[0] != length:
-            raise InstanceFormatError(f"key '{key}' must have length {length}")
-        return arr
-
-    n, m = count("n"), count("m")
+    n, m = int(doc["n"]), int(doc["m"])
     if n == 0:
         raise InstanceFormatError("key 'n' must be at least 1")
     dom = doc["domain"]
@@ -434,15 +386,18 @@ def instance_from_json(doc: dict) -> ModelInstance:
             for k in ("lower", "upper"):
                 if k not in dom:
                     raise InstanceFormatError(f"box domain requires key '{k}'")
-            domain = PriceDomain.box(vector("lower", n, dom), vector("upper", n, dom))
+            domain = PriceDomain.box(read("lower", (n,), dom), read("upper", (n,), dom))
         else:
             raise InstanceFormatError(f"domain kind {dom['kind']!r} is not 'orthant' or 'box'")
         costs = AgentCosts(
-            C=matrix("C", n, n), B=matrix("B", n, n), l=vector("l", n), M=number("M")
+            C=read("C", (n, n)), B=read("B", (n, n)), l=read("l", (n,)), M=read("M", ())
         )
-        feasible = FeasibleSet(A=matrix("A", m, n), b=vector("b", m))
-        eta = None if doc.get("eta") is None else number("eta")
-        return ModelInstance.build(costs, feasible, domain, vector("p0", n), eta=eta)
+        feasible = FeasibleSet(A=read("A", (m, n)), b=read("b", (m,)))
+        # A float is a number; as_eta words a non-finite one as it does a flag's.
+        eta = doc.get("eta")
+        if eta is not None and not isinstance(eta, float):
+            eta = read("eta", ()).item()
+        return ModelInstance.build(costs, feasible, domain, read("p0", (n,)), eta=eta)
     except InstanceFormatError:
         raise
     except (TypeError, ValueError, NotPositiveDefinite) as exc:

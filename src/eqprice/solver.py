@@ -26,6 +26,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 import numpy.typing as npt
 
+from . import qp
 from .model import PriceDomain
 
 FloatArray = npt.NDArray[np.float64]
@@ -55,15 +56,11 @@ class Objective:
     weight: float = 1.0
 
     def __post_init__(self) -> None:
-        p0 = np.asarray(self.p0, dtype=float).reshape(-1)
-        if not np.all(np.isfinite(p0)):
-            raise ValueError("anchor p0 has non-finite entries")
+        object.__setattr__(self, "p0", qp.as_floats(self.p0, "anchor p0", (None,)))
         if not self.weight > 0.0:
             raise ValueError("weight must be positive")
         if not math.isfinite(self.weight):
             raise ValueError("weight must be finite")
-        p0.setflags(write=False)
-        object.__setattr__(self, "p0", p0)
         object.__setattr__(self, "weight", float(self.weight))
 
     @property

@@ -261,6 +261,7 @@ class TestSolveCommand:
             ({}, ["--eta", "-1"], "error: eta must be positive\n"),
             ({"eta": float("inf")}, [], "error: eta must be finite\n"),
             ({"eta": 0}, [], "error: eta must be positive\n"),
+            ({"eta": True}, [], "error: key 'eta' is not a number: True\n"),
             (
                 {"domain": {"kind": "box", "lower": [0.0]}},
                 [],
@@ -298,6 +299,7 @@ class TestSolveCommand:
             "eta-negative",
             "file-eta-inf",
             "file-eta-zero",
+            "file-eta-true",
             "box-without-upper",
             "n-zero",
             "huge-floor",

@@ -28,6 +28,8 @@ from eqprice.model import (
     save_instance,
     validate_instance,
 )
+from eqprice.qp import QpProblem
+from eqprice.solver import Objective
 from conftest import make_combined_1d
 
 
@@ -186,15 +188,14 @@ class TestInnerPrograms:
 
     def test_without_rows_the_utility_row_is_the_only_one(self):
         inst = self.without_rows()
-        assert inst.feasible.A.shape == (0, 0)
+        assert inst.feasible.A.shape == (0, 2)
         assert inst.supply_program.A.shape == (0, 2)
         np.testing.assert_array_equal(inst.demand_program.A, [[-1.0, -2.0]])
         np.testing.assert_array_equal(inst.demand_program.b, [-3.0])
         assert validate_instance(inst) == []
 
     def test_saved_instance_without_rows_keeps_its_programs(self, tmp_path):
-        # The loader reads the saved empty A as a 0 x n matrix, where the
-        # built instance holds a 0 x 0 one; both give the same rows.
+        # The saved empty A loads as the 0 x n matrix the built instance holds.
         inst = self.without_rows()
         path = tmp_path / "rowless.json"
         save_instance(path, inst)
@@ -302,6 +303,23 @@ class TestJsonSchema:
             ({"n": -1}, "'n'"),
             ({"m": 0.5}, "'m'"),
             ({"eta": [1.0]}, "'eta'"),
+            ({"eta": True}, "'eta'"),
+            ({"eta": "0.5"}, "'eta'"),
+            ({"M": "2.0"}, "'M'"),
+            ({"n": True}, "'n'"),
+            ({"b": ["10"]}, "'b'"),
+            ({"p0": [True]}, "'p0'"),
+            (
+                {
+                    "n": 2,
+                    "C": [[1.0, 0.0], [0.0, 1.0]],
+                    "B": [[1.0, 0.0], [0.0, 1.0]],
+                    "l": [1.5, True],
+                    "A": [[1.0, 1.0]],
+                    "p0": [1.0, 1.0],
+                },
+                "'l'",
+            ),
         ],
         ids=[
             "M-null",
@@ -316,6 +334,13 @@ class TestJsonSchema:
             "n-negative",
             "m-fraction",
             "eta-list",
+            "eta-true",
+            "eta-text",
+            "M-text",
+            "n-true",
+            "b-entry-text",
+            "p0-entry-bool",
+            "l-mixed-bool",
         ],
     )
     def test_malformed_value_is_named(self, combined_1d, edit, key):
@@ -391,11 +416,55 @@ class TestSharedRules:
         assert str(built.value) == str(evaluated.value)
 
 
+def _with_first_entry(value, entry):
+    if isinstance(value, list):
+        return [_with_first_entry(value[0], entry), *value[1:]]
+    return entry
+
+
+class TestOneReader:
+    """Every constructor reads its arrays through ``qp.as_floats``: a bool, a
+    string, ``None``, NaN or a wrong shape is a ValueError naming the field."""
+
+    # name in the message, a good value, and the constructor fed that value;
+    # ModelInstance names its p0 as the evaluator names a price
+    BUILDERS = {
+        "AgentCosts": ("B", [[1.0]], lambda v: AgentCosts(C=[[1.0]], B=v, l=[1.0], M=2.0)),
+        "FeasibleSet": ("b", [10.0], lambda v: FeasibleSet(A=[[1.0]], b=v)),
+        "PriceDomain.box": ("upper", [50.0], lambda v: PriceDomain.box([0.0], v)),
+        "QpProblem": ("q", [0.0], lambda v: QpProblem(Q=[[1.0]], q=v, A=[[1.0]], b=[10.0])),
+        "ModelInstance.build": (
+            "price vector",
+            [4.0],
+            lambda v: ModelInstance.build(
+                costs_1d(), FeasibleSet(A=[[1.0]], b=[10.0]), PriceDomain.orthant(), v
+            ),
+        ),
+        "Objective": ("anchor p0", [4.0], lambda v: Objective(p0=v)),
+    }
+    BAD = {
+        "bool": lambda good: _with_first_entry(good, True),
+        "text": lambda good: _with_first_entry(good, "1"),
+        "none": lambda good: _with_first_entry(good, None),
+        "nan": lambda good: _with_first_entry(good, float("nan")),
+        "shape": lambda good: [good],
+    }
+
+    @pytest.mark.parametrize("bad", sorted(BAD))
+    @pytest.mark.parametrize("builder", sorted(BUILDERS))
+    def test_bad_entry_or_shape_names_the_field(self, builder, bad):
+        name, good, build = self.BUILDERS[builder]
+        build(good)
+        with pytest.raises(ValueError, match=f"^{name} "):
+            build(self.BAD[bad](good))
+
+
 _VALID_DOC = instance_to_json(random_instance(GenConfig(n=5, m=3, seed=11)))
 # Magnitudes past what HiGHS (1e15 in a matrix, 1e20 in a bound) or float()
 # accept, and non-finite numbers.
 _EXTREMES = [1e25, 10**400, -1e25, 1e15, 1e300, np.nan, np.inf, -np.inf]
 _ARRAYS = ["A", "B", "C", "b", "l", "p0"]
+_NUMERIC_KEYS = ["n", "m", "C", "B", "l", "M", "A", "b", "p0", "eta"]
 _ODD_VALUES = st.one_of(
     st.sampled_from(_EXTREMES),
     st.one_of(
@@ -404,6 +473,7 @@ _ODD_VALUES = st.one_of(
         st.integers(-2, 6),
         st.floats(allow_nan=True, allow_infinity=True),
         st.text(max_size=2),
+        st.sampled_from(["1.5", "10", "-2", "1e3"]),
         st.lists(st.floats(-10.0, 10.0), max_size=6),
         st.lists(st.lists(st.floats(-10.0, 10.0), max_size=6), max_size=6),
         st.fixed_dictionaries({"kind": st.sampled_from(["orthant", "box", "simplex"])}),
@@ -416,7 +486,8 @@ _ODD_VALUES = st.one_of(
 def test_loader_and_validation_raise_only_instance_format_errors(data):
     """Mutations of a valid 5/3 document: one entry of an array replaced, or
     a key replaced or dropped.  Loading raises InstanceFormatError or
-    builds an instance, whose validation returns findings."""
+    builds an instance, whose validation returns findings; a document that
+    loads holds only ints and floats, never a bool, where numbers belong."""
     doc = copy.deepcopy(_VALID_DOC)
     for _ in range(data.draw(st.integers(1, 2))):
         action = data.draw(st.sampled_from(["entry", "entry", "replace", "drop"]))
@@ -436,4 +507,13 @@ def test_loader_and_validation_raise_only_instance_format_errors(data):
         instance = instance_from_json(doc)
     except InstanceFormatError:
         return
+    numbers = [doc[key] for key in _NUMERIC_KEYS if doc.get(key) is not None]
+    if doc["domain"]["kind"] == "box":
+        numbers += [doc["domain"]["lower"], doc["domain"]["upper"]]
+    while numbers:
+        value = numbers.pop()
+        if isinstance(value, list):
+            numbers += value
+        else:
+            assert type(value) in (int, float), value
     assert all(isinstance(issue, ValidationIssue) for issue in validate_instance(instance))

@@ -17,6 +17,7 @@ from eqprice.gen import GenConfig, generate
 from eqprice.qp import (
     QpProblem,
     QpStatus,
+    as_floats,
     check_kkt,
     feasible_point,
     highs_lp,
@@ -88,7 +89,7 @@ class TestSolveQp:
         assert np.all(G.T @ y >= -1e-9)
 
     def test_rows_must_have_one_column_per_variable(self):
-        with pytest.raises(ValueError, match="A column count does not match Q"):
+        with pytest.raises(ValueError, match=r"^A has shape \(1, 3\), expected \(None, 2\)$"):
             QpProblem(Q=np.eye(2), q=[0.0, 0.0], A=[[1.0, 1.0, 1.0]], b=[1.0])
 
     def test_iteration_limit_status(self):
@@ -120,6 +121,45 @@ class TestSolveQp:
         sol = solve_qp(problem)
         assert sol.status is QpStatus.OPTIMAL
         np.testing.assert_allclose(sol.x, [1.0, 1.0], atol=1e-8)
+
+
+class TestAsFloats:
+    def test_read_only_floats_pass_through_and_others_are_frozen_copies(self):
+        frozen = np.arange(6.0).reshape(2, 3)
+        frozen.flags.writeable = False
+        assert as_floats(frozen, "A", (2, None)) is frozen
+        source = np.arange(3)
+        arr = as_floats(source, "b", (3,))
+        assert arr.dtype == np.float64 and not arr.flags.writeable
+        assert source.flags.writeable
+
+    @pytest.mark.parametrize(
+        "value, shape, expected",
+        [([], (None, 3), (0, 3)), (np.zeros((0, 0)), (None, 3), (0, 3)),
+         (np.zeros((0, 5)), (None, None), (0, 5)), ([], (None,), (0,))],
+        ids=["list", "no-columns", "free-columns", "vector"],
+    )
+    def test_empty_value_reads_as_zero_rows(self, value, shape, expected):
+        assert as_floats(value, "A", shape).shape == expected
+
+    @pytest.mark.parametrize(
+        "value, shape, message",
+        [
+            (True, (), "x is not a number: True"),
+            (10**400, (), "x is not a number: int too large to convert to float"),
+            ([1.5, True], (None,), "x has an entry that is not a number: True"),
+            ([[1.0], ["2"]], (None, 1), "x has an entry that is not a number: '2'"),
+            ([[1.0], [2.0, 3.0]], (None, None), "x has an entry that is not a number: [1.0]"),
+            ([1.0], (), "x has shape (1,), expected ()"),
+            ([], (2,), "x has shape (0,), expected (2,)"),
+            ([1.0, np.inf], (None,), "x has non-finite entries"),
+        ],
+        ids=["bool", "huge-int", "mixed-bool", "text", "ragged", "scalar", "length", "inf"],
+    )
+    def test_refusal_names_the_value(self, value, shape, message):
+        with pytest.raises(ValueError) as refused:
+            as_floats(value, "x", shape)
+        assert str(refused.value) == message
 
 
 class TestAgainstEnumeration:
