@@ -15,9 +15,9 @@ belong to the instance (``supply_program``, ``demand_program``), and so do
 their read-only rows ``prepared = (H, G, h)`` and cold starts ``phase1``,
 which all of its evaluators share.  While a basis stays optimal the
 minimizer is affine in p (the critical region of a parametric QP), so the
-cached piece answers directly once it passes one KKT certificate (its
-matrix is inverted lazily, behind a cheap screen).  Construct one evaluator
-per solver run; instances themselves are immutable and shareable.
+cached piece answers directly once it passes one KKT certificate (inverted
+lazily behind a cheap screen; stationarity proven once per basis).  Use one
+evaluator per solver run; instances themselves are immutable and shareable.
 """
 
 from __future__ import annotations
@@ -40,6 +40,24 @@ CERTIFY_TOL = 1e-8
 # once) cannot overflow below it unless a cached entry exceeds about 1e50.
 PIECE_PMAX = 1e100
 _max, _min = qp._max, qp._min
+
+
+def _stationarity_floor(H: FloatArray, basis) -> float:
+    """The least max|c| from which ``_try_basis``'s stationarity test passes on
+    ``_invert``'s piece ``basis`` at every c, whatever the rounding; else +inf.
+    In Higham's (2002, section 3.1) rounding model, for any summation order,
+    stat <= a + b max|c|, and from the floor on that is at most tau (1 +
+    max|c|), half the test's least bound.  README derives a and b."""
+    K_x, c_x, K_l, c_l, GwT = basis
+    top, K, c0 = np.hstack((H, GwT)), np.vstack((K_x, K_l)), np.concatenate((c_x, c_l))
+    ku = (2 * top.shape[1] + 3) * 2.0**-53  # k u, k = 2 (n + w) + 3 roundings
+    g, tau, sqrt_n = 2.0 * ku / (1.0 - ku), 0.5 * CERTIFY_TOL, math.sqrt(len(H))  # g = 2 gamma_k
+    with np.errstate(all="ignore"):  # a block that overflows here has no floor
+        abs_top, rows_K = abs(top), abs(K).sum(1)
+        R = np.eye(len(H)) - top @ K
+        b = sqrt_n * _max(abs(R).sum(1) + g * (1.0 + abs_top @ rows_K)) + g * _max(rows_K)
+        a = sqrt_n * _max(abs(top @ c0) + g * (abs_top @ abs(c0))) + g * _max(abs(c0))
+    return max(a - tau, 0.0) / (tau - b) if b < tau and a < math.inf else math.inf
 
 
 class InnerSolveFailed(RuntimeError):
@@ -91,8 +109,10 @@ class _InnerMap:
         self.last_wset: tuple[int, ...] | None = None
         self._pending: list[int] | None = None  # working set of the last solve, not yet inverted
         self._basis = None  # (K_x, c_x, K_l, c_l, G_w_T), each at most n x max(n, w)
+        self._floor = math.inf  # _stationarity_floor of _basis
         self.solves = 0
         self.fast_hits = 0
+        self.certified = 0  # fast hits whose stationarity the floor proved
         self.iterations = 0
         self.inversions = 0
 
@@ -101,10 +121,10 @@ class _InnerMap:
         Gw = self.G[self._pending]
         return qp.kkt_matrix(self.H, Gw), Gw, self.h[self._pending]
 
-    def _screen(self, neg_c: FloatArray) -> bool:
+    def _screen(self, neg_c: FloatArray, system=None) -> bool:
         """Whether the pending piece can be optimal at linear term -neg_c: one
         solve of its KKT system, tested 1000x looser than ``_try_basis``."""
-        kkt, _, hw = self._pending_system()
+        kkt, _, hw = system or self._pending_system()
         n = self.H.shape[0]
         try:
             z = np.linalg.solve(kkt, np.concatenate((neg_c, hw)))
@@ -116,10 +136,10 @@ class _InnerMap:
             return False
         return _max(self.G.dot(x) - self.h) <= 1e-6 * self.hscale * (1.0 + _max(abs(x)))
 
-    def _invert(self) -> None:
+    def _invert(self, system=None) -> None:
         # Copies of the two blocks in use let the inverse go.  A view of the
         # KKT matrix as G_w_T would have strides that take another BLAS kernel.
-        (kkt, Gw, hw), self._pending = self._pending_system(), None
+        (kkt, Gw, hw), self._pending = system or self._pending_system(), None
         n = self.H.shape[0]
         self.inversions += 1
         try:
@@ -133,6 +153,7 @@ class _InnerMap:
             inv[n:, n:] @ hw,
             Gw.T,
         )
+        self._floor = _stationarity_floor(self.H, self._basis)
 
     def _try_basis(self, c: FloatArray, neg_c: FloatArray, cmax: float) -> FloatArray | None:
         """The cached affine piece at linear term c, if it is certified optimal.
@@ -141,13 +162,16 @@ class _InnerMap:
         KKT residual ``max(viol, stat)`` within ``CERTIFY_TOL`` times
         ``qp.residual_scale``, the scale on which an optimal active-set
         solve meets ``qp.DEFAULT_TOL``, so either way the point returned is
-        certified to ``CERTIFY_TOL``.  Each test is written so
-        that NaN fails it, as a non-finite price can make the piece NaN.
+        certified to ``CERTIFY_TOL``.  From the piece's stationarity floor
+        on, viol is the only residual tested.  Each test is written so that
+        NaN fails it, as a non-finite price can make the piece NaN.
         """
-        if cmax > PIECE_PMAX or self._pending is not None and not self._screen(neg_c):
+        if cmax > PIECE_PMAX:
             return None
         if self._pending is not None:
-            self._invert()
+            if not self._screen(neg_c, system := self._pending_system()):
+                return None
+            self._invert(system)
         if self._basis is None:
             return None
         # The bench iteration counts must not drift, so every operation here
@@ -165,6 +189,9 @@ class _InnerMap:
         viol = max(_max(self.G.dot(x) - self.h), 0.0)
         if not viol <= 1e-9 * self.hscale:
             return None
+        if self._floor <= cmax and viol <= CERTIFY_TOL * (1.0 + cmax):
+            self.certified += 1
+            return x
         hx = self.H.dot(x)
         r = hx + c + GwT.dot(lam)
         stat = math.sqrt(r.dot(r))
@@ -288,3 +315,7 @@ class ExcessEvaluator:
     @property
     def basis_inversions(self) -> int:
         return self._supply.inversions + self._demand.inversions
+
+    @property
+    def certified_hits(self) -> int:
+        return self._supply.certified + self._demand.certified

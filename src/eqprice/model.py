@@ -46,6 +46,8 @@ def as_price(values, n: int) -> tuple[FloatArray, float]:
     max|p| is non-finite exactly when some entry is, so it doubles as the
     finiteness check.
     """
+    if not (isinstance(values, np.ndarray) and values.dtype == np.float64):  # not the solver's
+        qp.refuse_non_numbers(values, "price vector has an entry that is not a number")
     p = np.asarray(values, dtype=float).reshape(-1)
     if p.shape[0] != n:
         raise ValueError(f"price vector has length {p.shape[0]}, expected {n}")
@@ -60,6 +62,7 @@ def as_eta(eta, mu_F: float) -> tuple[float, str | None]:
 
     At eta <= 0 the projected step fixes every price, so that is an error.
     """
+    qp.refuse_non_numbers(eta, "eta is not a number")
     eta = float(eta)
     if not math.isfinite(eta):
         raise ValueError("eta must be finite")

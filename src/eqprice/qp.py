@@ -17,7 +17,7 @@ its linear term does not move: its rows ``prepared`` and its cold start
 entry of the package: HiGHS's dual simplex through scipy's binding,
 without ``linprog``'s per-call input checks.  ``as_floats`` is the one
 reader of the arrays that a program or a model instance is built from: it
-holds the number, shape and finiteness rule.
+holds the number (``refuse_non_numbers``), shape and finiteness rule.
 """
 
 from __future__ import annotations
@@ -567,13 +567,7 @@ def as_floats(value, name: str, shape: tuple[int | None, ...]) -> FloatArray:
     """
     what = "is not a number" if not shape else "has an entry that is not a number"
     if not (isinstance(value, np.ndarray) and value.dtype.kind in "fiu"):
-        try:
-            entries = np.asarray(value, dtype=object).ravel().tolist()
-        except ValueError as exc:
-            raise ValueError(f"{name} {what}: {exc}") from exc
-        if not all(map(_is_number, set(map(type, entries)))):  # 6x faster than per entry
-            bad = next(x for x in entries if not _is_number(type(x)))
-            raise ValueError(f"{name} {what}: {bad!r}")
+        refuse_non_numbers(value, f"{name} {what}")
     if isinstance(value, np.ndarray) and value.dtype == np.float64 and not value.flags.writeable:
         arr = value
     else:
@@ -590,6 +584,17 @@ def as_floats(value, name: str, shape: tuple[int | None, ...]) -> FloatArray:
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} has non-finite entries")
     return arr
+
+
+def refuse_non_numbers(value, text: str) -> None:
+    """Raise ``ValueError(f"{text}: {entry!r}")`` at an entry that is not an int or a float."""
+    try:
+        entries = np.asarray(value, dtype=object).ravel().tolist()
+    except ValueError as exc:
+        raise ValueError(f"{text}: {exc}") from exc
+    if not all(map(_is_number, set(map(type, entries)))):  # 6x faster than per entry
+        bad = next(x for x in entries if not _is_number(type(x)))
+        raise ValueError(f"{text}: {bad!r}")
 
 
 def _is_number(t: type) -> bool:

@@ -57,6 +57,7 @@ class Objective:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "p0", qp.as_floats(self.p0, "anchor p0", (None,)))
+        qp.refuse_non_numbers(self.weight, "weight is not a number")
         if not self.weight > 0.0:
             raise ValueError("weight must be positive")
         if not math.isfinite(self.weight):

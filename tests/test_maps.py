@@ -1,10 +1,12 @@
 """Supply/demand/excess maps, the projection step and their properties."""
 
 import collections
+import contextlib
 import copy
 import gc
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,13 +16,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqprice import maps, qp
 from eqprice.cli import trial_seed
 from eqprice.gen import GenConfig, random_instance
 from eqprice.maps import EtaOutOfRange, ExcessEvaluator, InnerSolveFailed
 from eqprice.model import AgentCosts, FeasibleSet, ModelInstance, PriceDomain, validate_instance
+from eqprice.solver import Objective, Termination, bilevel_solve
 from conftest import make_combined_1d, make_saturated_1d
+from oracles import random_qp
 
 
 def count_calls(monkeypatch, *names) -> collections.Counter:
@@ -207,6 +213,10 @@ class TestPriceValidation:
             ([-np.inf], "non-finite"),
             ([1.0, 2.0], "length 2, expected 1"),
             ([], "length 0, expected 1"),
+            ([True], "^price vector has an entry that is not a number: True$"),
+            (np.array([True]), "^price vector has an entry that is not a number: True$"),
+            (["4"], "^price vector has an entry that is not a number: '4'$"),
+            ([None], "^price vector has an entry that is not a number: None$"),
         ],
     )
     def test_bad_price_raises_before_any_solve(self, combined_1d, entry, price, message):
@@ -351,13 +361,15 @@ class TestEvaluatorCaching:
         # residual is 5.2e-7, above CERTIFY_TOL * s = 1e-7 (s = 1 + 4.5 +
         # 4.5) but below 1e-6.  The piece must be rejected, not raised on,
         # and one active-set solve must answer exactly.  The second call at
-        # 4.0 is a fast hit, which inverts the cached piece.
+        # 4.0 is a fast hit, which inverts the cached piece.  The tampered
+        # piece's stationarity floor is re-derived as _invert derives it.
         ev = ExcessEvaluator(combined_1d)
         ev.evaluate([4.0])
         ev.evaluate([4.0])
         assert ev.fast_hits == 2
         K_x, c_x, *rest = ev._supply._basis
         ev._supply._basis = (K_x, c_x + 2.6e-7, *rest)
+        ev._supply._floor = maps._stationarity_floor(ev._supply.H, ev._supply._basis)
         solves = ev.qp_solves
         ev_45 = ev.evaluate([4.5])
         assert ev.qp_solves == solves + 1
@@ -520,6 +532,188 @@ class TestEvaluatorCaching:
             "the supply program missed the residual tolerance: residual "
             "0.000e+00 after 2 iterations"
         )
+
+
+def per_price_test(inner, c, neg_c, cmax) -> tuple[float, float, float]:
+    """``viol``, ``stat`` and ``bound`` of ``_try_basis``'s test of the cached
+    piece at c, each computed with the operations and operands it uses."""
+    K_x, c_x, K_l, c_l, GwT = inner._basis
+    x = K_x.dot(neg_c) + c_x
+    lam = K_l.dot(neg_c) + c_l
+    viol = max(qp._max(inner.G.dot(x) - inner.h), 0.0)
+    hx = inner.H.dot(x)
+    r = hx + c + GwT.dot(lam)
+    return viol, math.sqrt(r.dot(r)), maps.CERTIFY_TOL * qp.residual_scale(cmax, hx)
+
+
+@contextlib.contextmanager
+def skipped_tests_run_anyway():
+    """Yield a list that gets, for every fast hit whose stationarity test
+    the piece's floor skipped, that test's ``max(viol, stat) / bound``.  A
+    skip is sound when each is <= 1."""
+    ratios = []
+    real = maps._InnerMap._try_basis
+
+    def checked(inner, c, neg_c, cmax):
+        before = inner.certified
+        x = real(inner, c, neg_c, cmax)
+        if inner.certified > before:
+            viol, stat, bound = per_price_test(inner, c, neg_c, cmax)
+            ratios.append(max(viol, stat) / bound)
+        return x
+
+    maps._InnerMap._try_basis = checked
+    try:
+        yield ratios
+    finally:
+        maps._InnerMap._try_basis = real
+
+
+def random_program(seed: int, utility_row: bool, variant: str) -> qp.QpProblem:
+    """``oracles.random_qp`` with its last row duplicated, a row nearly
+    parallel to it added, or its right-hand side (and feasible point) scaled
+    by 1e-12."""
+    problem, _ = random_qp(np.random.default_rng(seed), with_utility_row=utility_row)
+    A, b = problem.A, problem.b
+    if variant == "duplicate" and len(b):
+        A, b = np.vstack([A, A[-1]]), np.append(b, b[-1])
+    elif variant == "near-parallel" and len(b):
+        A, b = np.vstack([A, A[-1] * (1.0 + 1e-9)]), np.append(b, b[-1] * (1.0 + 2e-9))
+    elif variant == "tiny-b":
+        b = b * 1e-12
+    return qp.QpProblem(Q=problem.Q, q=problem.q, A=A, b=b)
+
+
+def nearby_and_scattered(rng, start, count: int, scale: float):
+    """Prices that stay near the last one two times in three (relative steps
+    of 1e-6 to 1e-2), else jump to a scattered one."""
+    c = start
+    for step in range(count):
+        yield c
+        if step % 3 == 2:
+            c = rng.uniform(-scale, scale, size=c.size)
+        else:
+            c = c * (1.0 + rng.choice([1e-6, 1e-4, 1e-2]) * rng.uniform(-1.0, 1.0, size=c.size))
+
+
+class TestStationarityFloor:
+    """A certified hit skips the per-price stationarity test only where
+    that test, run anyway, passes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        utility_row=st.booleans(),
+        variant=st.sampled_from(["plain", "duplicate", "near-parallel", "tiny-b"]),
+    )
+    def test_random_programs_skip_only_passing_tests(self, seed, utility_row, variant):
+        problem = random_program(seed, utility_row, variant)
+        rng = np.random.default_rng(seed)
+        inner = maps._InnerMap("supply", problem)
+        with skipped_tests_run_anyway() as ratios:
+            for c in nearby_and_scattered(rng, problem.q, 30, 5.0):
+                try:
+                    inner.evaluate(c, -c, float(np.max(np.abs(c))))
+                except InnerSolveFailed:
+                    pass
+        assert len(ratios) == inner.certified
+        assert all(ratio <= 1.0 for ratio in ratios), max(ratios)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), m=st.integers(1, 5))
+    def test_generated_instances_skip_only_passing_tests(self, seed, n, m):
+        inst = random_instance(GenConfig(n=n, m=m, seed=seed))
+        rng = np.random.default_rng(seed)
+        ev = ExcessEvaluator(inst)
+        with skipped_tests_run_anyway() as ratios:
+            for p in nearby_and_scattered(rng, inst.p0 + 1.0, 30, 100.0):
+                ev.evaluate(np.abs(p))
+        assert len(ratios) == ev.certified_hits <= ev.fast_hits
+        assert all(ratio <= 1.0 for ratio in ratios), max(ratios)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        utility_row=st.booleans(),
+        noise=st.sampled_from([0.0, 1e-11, 1e-9]),
+    )
+    def test_floor_bounds_the_residual_at_its_worst_price(self, seed, utility_row, noise):
+        # Any working set's piece, optimal or not, its blocks perturbed so
+        # that its residual R c + r0 is not all rounding.  At max|c| from the
+        # floor on, the price that drives one row of it hardest must still
+        # give a stat within half the certificate's least scale.
+        rng = np.random.default_rng(seed)
+        problem, _ = random_qp(rng, with_utility_row=utility_row)
+        inner = maps._InnerMap("supply", problem)
+        n, rows = problem.n, len(inner.h)
+        inner._pending = sorted(rng.choice(rows, size=int(rng.integers(0, n + 1)), replace=False).tolist())
+        inner._invert()
+        *blocks, GwT = inner._basis
+        K_x, c_x, K_l, c_l = (block + noise * rng.standard_normal(block.shape) for block in blocks)
+        inner._basis = (K_x, c_x, K_l, c_l, GwT)
+        floor = maps._stationarity_floor(inner.H, inner._basis)
+        if floor == math.inf:
+            return
+        R = np.eye(n) - inner.H @ K_x - GwT @ K_l
+        r0 = inner.H @ c_x + GwT @ c_l
+        worst = int(np.argmax(abs(R).sum(1)))
+        for cmax in (floor, 2.0 * floor, floor + 1.0, 1e6 * (floor + 1.0)):
+            c = cmax * np.where(R[worst] * (r0[worst] or 1.0) >= 0.0, 1.0, -1.0)
+            _, stat, _ = per_price_test(inner, c, -c, cmax)
+            assert stat <= 0.5 * maps.CERTIFY_TOL * (1.0 + cmax) * (1.0 + 1e-9), (cmax, stat)
+
+    @pytest.mark.bits
+    def test_protocol_solves_skip_only_passing_tests(self):
+        # The 40 solves of the bench protocol at seed 42, as eqprice bench
+        # runs them; nearly every fast hit there is a certified one.
+        hits = certified = 0
+        with skipped_tests_run_anyway() as ratios:
+            for trial in range(10):
+                for n, m in ((5, 3), (10, 8), (30, 20), (50, 30)):
+                    inst = random_instance(GenConfig(n=n, m=m, seed=trial_seed(42, n, m, trial)))
+                    ev = ExcessEvaluator(inst)
+                    report = bilevel_solve(
+                        ev.map_oracle(eta=2.0 * inst.constants.mu_F),
+                        Objective(p0=inst.p0, weight=0.25),
+                        inst.domain,
+                        eps=1e-4,
+                        max_iter=10_000,
+                        start=np.zeros(n),
+                        trace_vi_every=10,
+                    )
+                    assert report.termination is Termination.CONVERGED
+                    hits, certified = hits + ev.fast_hits, certified + ev.certified_hits
+        assert len(ratios) == certified >= 0.99 * hits
+        assert all(ratio <= 1.0 for ratio in ratios), max(ratios)
+
+    def test_shifted_piece_floor_lies_above_the_price(self, combined_1d):
+        # Supply is p / 2 near p = 4, on the piece with an empty working set.
+        # Shifting c_x by 2.6e-7 puts a residual of 5.2e-7 in every price,
+        # which is certified only from max|p| of about 100 on.  Below that
+        # floor the per-price test runs, and rejects the piece at 4.5.
+        ev = ExcessEvaluator(combined_1d)
+        ev.evaluate([4.0])
+        ev.evaluate([4.0])
+        inner = ev._supply
+        assert inner._floor == 0.0 and (ev.fast_hits, ev.certified_hits) == (2, 2)
+        K_x, c_x, *rest = inner._basis
+        shifted = (K_x, c_x + 2.6e-7, *rest)
+        inner._basis, inner._floor = shifted, maps._stationarity_floor(inner.H, shifted)
+        assert 4.5 < inner._floor < 200.0
+        c = np.array([-4.5])
+        assert inner._try_basis(c, -c, 4.5) is None
+        assert inner.certified == 1
+
+    def test_non_finite_piece_has_no_floor(self, combined_1d):
+        ev = ExcessEvaluator(combined_1d)
+        ev.evaluate([4.0])
+        ev.evaluate([4.0])
+        K_x, c_x, *rest = ev._supply._basis
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bad in (np.nan, np.inf, 1e300):
+                assert maps._stationarity_floor(ev._supply.H, (K_x, c_x + bad, *rest)) == math.inf
+                assert maps._stationarity_floor(ev._supply.H, (K_x + bad, c_x, *rest)) == math.inf
 
 
 @pytest.fixture(scope="module")

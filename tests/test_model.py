@@ -386,26 +386,31 @@ class TestSharedRules:
     @pytest.mark.parametrize(
         "eta, message",
         [
-            (0.0, "positive"),
-            (-1.0, "positive"),
-            (np.nan, "finite"),
-            (np.inf, "finite"),
-            (-np.inf, "finite"),
+            (0.0, "eta must be positive"),
+            (-1.0, "eta must be positive"),
+            (np.nan, "eta must be finite"),
+            (np.inf, "eta must be finite"),
+            (-np.inf, "eta must be finite"),
+            (True, "eta is not a number: True"),
+            ("0.5", "eta is not a number: '0.5'"),
         ],
-        ids=["zero", "negative", "nan", "inf", "minus-inf"],
+        ids=["zero", "negative", "nan", "inf", "minus-inf", "bool", "string"],
     )
     def test_eta_error_reads_the_same(self, eta, message):
-        # Finiteness is tested first, so NaN and -inf are not reported as
-        # nonpositive; build reaches the rule through compute_constants.
+        # The number rule comes first, then finiteness, so NaN and -inf are
+        # not reported as nonpositive; build reaches the rule through
+        # compute_constants.
         base = make_combined_1d()
         with pytest.raises(ValueError) as built:
             ModelInstance.build(base.costs, base.feasible, base.domain, base.p0, eta=eta)
         with pytest.raises(ValueError) as mapped:
             maps.ExcessEvaluator(base).map_oracle(eta=eta)
-        assert str(built.value) == str(mapped.value) == f"eta must be {message}"
+        assert str(built.value) == str(mapped.value) == message
 
     @pytest.mark.parametrize(
-        "price", [[1.0, 2.0], [np.nan], [np.inf]], ids=["length", "nan", "inf"]
+        "price",
+        [[1.0, 2.0], [np.nan], [np.inf], [True], ["4"], [None]],
+        ids=["length", "nan", "inf", "bool", "string", "none"],
     )
     def test_price_check_reads_the_same(self, price):
         base = make_combined_1d()

@@ -387,6 +387,15 @@ class TestObjective:
         assert obj.beta == 0.5
         np.testing.assert_allclose(obj.gradient(np.array([1.0])), [0.0])
 
-    def test_rejects_nonpositive_weight(self):
-        with pytest.raises(ValueError):
-            Objective(p0=[1.0], weight=0.0)
+    @pytest.mark.parametrize(
+        "weight, message",
+        [
+            (0.0, "weight must be positive"),
+            (True, "weight is not a number: True"),
+            ("0.5", "weight is not a number: '0.5'"),
+        ],
+        ids=["zero", "bool", "string"],
+    )
+    def test_rejects_nonpositive_weight(self, weight, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Objective(p0=[1.0], weight=weight)
