@@ -16,8 +16,9 @@ their read-only rows ``prepared = (H, G, h)`` and cold starts ``phase1``,
 which all of its evaluators share.  While a basis stays optimal the
 minimizer is affine in p (the critical region of a parametric QP), so the
 cached piece answers directly once it passes one KKT certificate (inverted
-lazily behind a cheap screen; stationarity proven once per basis).  Use one
-evaluator per solver run; instances themselves are immutable and shareable.
+lazily behind a cheap screen; stationarity proven once per basis, the sign
+and row tests once per ball of prices).  Use one evaluator per solver run;
+instances themselves are immutable and shareable.
 """
 
 from __future__ import annotations
@@ -60,6 +61,24 @@ def _stationarity_floor(H: FloatArray, basis) -> float:
     return max(a - tau, 0.0) / (tau - b) if b < tau and a < math.inf else math.inf
 
 
+def _trust_rates(G: FloatArray, h: FloatArray, hscale: float, basis) -> tuple:
+    """``_InnerMap._recenter``'s constants for the piece ``basis``: 1 / the l1
+    norm of each row of K_l and of G K_x (bounds, floored at 2^-600), and each
+    test's slack over the rounding, s0 - s1 max|c|.  README derives them."""
+    K_x, c_x, K_l, c_l, _ = basis
+    g = (len(K_x) + 1) * 2.0**-53
+    eps, shrink, thr = 8.0 * g / (1.0 - g), 1.0 - 2.0**-20, min(1e-9 * hscale, CERTIFY_TOL)
+    with np.errstate(all="ignore"):  # a non-finite piece has no floor, so no radius
+        abs_G, rows_l = abs(G), abs(K_l).sum(1)
+        P = abs_G @ abs(K_x).sum(1)  # >= |G K_x| 1
+        norms = (rows_l, abs(G @ K_x).sum(1) + eps * P)
+        inv_l, inv_r = (1.0 / np.maximum((1.0 + 2.0**-20) * v, 2.0**-600) for v in norms)
+        kl, cl = float(np.max(rows_l, initial=0.0)), float(np.max(abs(c_l), initial=0.0))
+        pm, gc, hm = _max(P), _max(abs_G @ abs(c_x)), _max(abs(h))
+    return (inv_l, shrink * 1e-9 - eps * (3.0 * kl + cl), 3.0 * eps * kl,
+            inv_r, shrink * thr - eps * (3.0 * pm + gc + hm), 3.0 * eps * pm)
+
+
 class InnerSolveFailed(RuntimeError):
     """An inner quadratic program did not reach a certified optimum."""
 
@@ -97,7 +116,8 @@ class _InnerMap:
     working set is kept; its KKT matrix is rebuilt from the program's shared
     rows and inverted at the first price whose solve of it passes
     ``_screen``.  While that basis stays optimal, a new price costs a few
-    small matrix-vector products plus one certificate check.
+    small matrix-vector products plus one certificate check, and none while
+    the steps since the last certified hit stay within its ``_recenter``.
     """
 
     def __init__(self, kind: str, problem: qp.QpProblem):
@@ -110,9 +130,12 @@ class _InnerMap:
         self._pending: list[int] | None = None  # working set of the last solve, not yet inverted
         self._basis = None  # (K_x, c_x, K_l, c_l, G_w_T), each at most n x max(n, w)
         self._floor = math.inf  # _stationarity_floor of _basis
+        self._rates = None  # _trust_rates of _basis
+        self._budget = -math.inf  # the last _recenter's radius, less the steps since
         self.solves = 0
         self.fast_hits = 0
         self.certified = 0  # fast hits whose stationarity the floor proved
+        self.trusted = 0  # certified hits whose other tests the budget proved
         self.iterations = 0
         self.inversions = 0
 
@@ -154,8 +177,9 @@ class _InnerMap:
             Gw.T,
         )
         self._floor = _stationarity_floor(self.H, self._basis)
+        self._rates = _trust_rates(self.G, self.h, self.hscale, self._basis)
 
-    def _try_basis(self, c: FloatArray, neg_c: FloatArray, cmax: float) -> FloatArray | None:
+    def _try_basis(self, c: FloatArray, neg_c: FloatArray, cmax: float, step: float):
         """The cached affine piece at linear term c, if it is certified optimal.
 
         Certificate: nonnegative multipliers, primal feasibility, and the
@@ -163,11 +187,18 @@ class _InnerMap:
         ``qp.residual_scale``, the scale on which an optimal active-set
         solve meets ``qp.DEFAULT_TOL``, so either way the point returned is
         certified to ``CERTIFY_TOL``.  From the piece's stationarity floor
-        on, viol is the only residual tested.  Each test is written so that
-        NaN fails it, as a non-finite price can make the piece NaN.
+        on, viol is the only residual tested, and within the budget none is.
+        Each test fails on NaN, as a non-finite price can make the piece NaN.
         """
         if cmax > PIECE_PMAX:
+            self._budget = -math.inf
             return None
+        self._budget = self._budget * (1.0 - 2.0**-30) - step  # the shrink outweighs rounding
+        if self._budget >= 0.0 and self._floor <= cmax:
+            self.certified += 1
+            self.trusted += 1
+            return self._basis[0].dot(neg_c) + self._basis[1]
+        self._budget = -math.inf
         if self._pending is not None:
             if not self._screen(neg_c, system := self._pending_system()):
                 return None
@@ -186,11 +217,13 @@ class _InnerMap:
         lam = K_l.dot(neg_c) + c_l
         if lam.size and not _min(lam) >= -1e-9:
             return None
-        viol = max(_max(self.G.dot(x) - self.h), 0.0)
+        r = self.G.dot(x) - self.h
+        viol = max(_max(r), 0.0)
         if not viol <= 1e-9 * self.hscale:
             return None
         if self._floor <= cmax and viol <= CERTIFY_TOL * (1.0 + cmax):
             self.certified += 1
+            self._recenter(lam, r, cmax)
             return x
         hx = self.H.dot(x)
         r = hx + c + GwT.dot(lam)
@@ -200,13 +233,25 @@ class _InnerMap:
             return None
         return x
 
-    def evaluate(self, c: FloatArray, neg_c: FloatArray, cmax: float) -> FloatArray:
+    def _recenter(self, lam: FloatArray, r: FloatArray, cmax: float) -> None:
+        """Budget a radius in max|c|, at most cmax + 1, within which the sign
+        and row tests that just gave ``lam`` and ``r`` are sure to pass."""
+        inv_l, l0, l1, inv_r, r0, r1 = self._rates
+        s_l, s_r = l0 - l1 * cmax, r0 - r1 * cmax
+        if s_l > 0.0 and s_r > 0.0:
+            rho = min(cmax + 1.0, _min((s_r - r) * inv_r))
+            if lam.size:
+                rho = min(rho, _min((lam + s_l) * inv_l))
+            self._budget = rho
+
+    def evaluate(self, c: FloatArray, neg_c: FloatArray, cmax: float, step: float) -> FloatArray:
         """Return the minimizer at linear term c.
 
         ``neg_c`` is ``-c`` and ``cmax`` is ``max|c|``; the caller computes
-        both once per price for the two inner programs.
+        both once per price for the two inner programs, and ``step``, at least
+        (1 - 2^-53) max|c - c'| for the last c' this map answered (or inf).
         """
-        x = self._try_basis(c, neg_c, cmax)
+        x = self._try_basis(c, neg_c, cmax, step)
         if x is not None:
             self.fast_hits += 1
             self.last_x = x
@@ -244,16 +289,19 @@ class ExcessEvaluator:
         self._project = instance.domain.projector(instance.n)
         self._supply = _InnerMap("supply", instance.supply_program)
         self._demand = _InnerMap("demand", instance.demand_program)
+        self._prev = None  # -p of the last price both programs answered in _both
 
     def supply(self, p) -> FloatArray:
         """Unique maximizer of p'x - x'Cx over X."""
         p, pmax = as_price(p, self.instance.n)
-        return self._supply.evaluate(-p, p, pmax)
+        self._prev = None
+        return self._supply.evaluate(-p, p, pmax, math.inf)
 
     def demand(self, p) -> FloatArray:
         """Unique minimizer of p'x + x'Bx over X with l'x >= M."""
         p, pmax = as_price(p, self.instance.n)
-        return self._demand.evaluate(p, -p, pmax)
+        self._prev = None
+        return self._demand.evaluate(p, -p, pmax, math.inf)
 
     def evaluate(self, p) -> MapEvaluation:
         """Supply, demand and excess at p."""
@@ -263,10 +311,16 @@ class ExcessEvaluator:
     def _both(self, p: FloatArray, pmax: float) -> tuple[FloatArray, FloatArray]:
         """Supply and demand at p; one negation of p.
 
-        |-p| = |p|, so max|p| is the certificate's max|c| for both programs.
+        |-p| = |p|, so max|p| is the certificate's max|c| for both programs,
+        and max|-p - prev| the step both spend; ``prev`` is our own -p, set
+        only once both have answered.
         """
-        neg_p = -p
-        return self._supply.evaluate(neg_p, p, pmax), self._demand.evaluate(p, neg_p, pmax)
+        neg_p, prev, self._prev = -p, self._prev, None
+        step = math.inf if prev is None else _max(abs(neg_p - prev))
+        s = self._supply.evaluate(neg_p, p, pmax, step)
+        d = self._demand.evaluate(p, neg_p, pmax, step)
+        self._prev = neg_p
+        return s, d
 
     # -- derived maps ------------------------------------------------------
 
@@ -319,3 +373,7 @@ class ExcessEvaluator:
     @property
     def certified_hits(self) -> int:
         return self._supply.certified + self._demand.certified
+
+    @property
+    def trusted_hits(self) -> int:
+        return self._supply.trusted + self._demand.trusted

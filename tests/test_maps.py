@@ -217,6 +217,8 @@ class TestPriceValidation:
             (np.array([True]), "^price vector has an entry that is not a number: True$"),
             (["4"], "^price vector has an entry that is not a number: '4'$"),
             ([None], "^price vector has an entry that is not a number: None$"),
+            (4.0, r"^price vector has shape \(\), expected \(None,\)$"),
+            ([[4.0]], r"^price vector has shape \(1, 1\), expected \(None,\)$"),
         ],
     )
     def test_bad_price_raises_before_any_solve(self, combined_1d, entry, price, message):
@@ -432,7 +434,7 @@ class TestEvaluatorCaching:
                     if inner._pending is not None:
                         forced = copy.copy(inner)
                         forced._invert()
-                        exact = forced._try_basis(c, -c, pmax) is not None
+                        exact = forced._try_basis(c, -c, pmax, math.inf) is not None
                         verdicts[copy.copy(inner)._screen(-c), exact] += 1
                 ev.evaluate(p)
                 if step % 3 == 2:
@@ -546,25 +548,43 @@ def per_price_test(inner, c, neg_c, cmax) -> tuple[float, float, float]:
     return viol, math.sqrt(r.dot(r)), maps.CERTIFY_TOL * qp.residual_scale(cmax, hx)
 
 
+def sign_and_row_tests_pass(inner, c, neg_c, cmax) -> bool:
+    """Whether the cached piece at c passes ``_try_basis``'s sign and row
+    tests and takes its certified branch, each run as it runs them."""
+    K_l, c_l = inner._basis[2:4]
+    lam = K_l.dot(neg_c) + c_l
+    viol, _, _ = per_price_test(inner, c, neg_c, cmax)
+    return (
+        (not lam.size or qp._min(lam) >= -1e-9)
+        and viol <= 1e-9 * inner.hscale
+        and inner._floor <= cmax
+        and viol <= maps.CERTIFY_TOL * (1.0 + cmax)
+    )
+
+
 @contextlib.contextmanager
 def skipped_tests_run_anyway():
-    """Yield a list that gets, for every fast hit whose stationarity test
-    the piece's floor skipped, that test's ``max(viol, stat) / bound``.  A
-    skip is sound when each is <= 1."""
-    ratios = []
+    """Yield two lists.  The first gets, for every fast hit whose
+    stationarity test the piece's floor skipped, that test's
+    ``max(viol, stat) / bound``; a skip is sound when each is <= 1.  The
+    second gets, for every trusted hit, whose sign and row tests the
+    budget skipped as well, whether those tests pass when run anyway."""
+    ratios, trusted = [], []
     real = maps._InnerMap._try_basis
 
-    def checked(inner, c, neg_c, cmax):
-        before = inner.certified
-        x = real(inner, c, neg_c, cmax)
+    def checked(inner, c, neg_c, cmax, step):
+        before, trusted_before = inner.certified, inner.trusted
+        x = real(inner, c, neg_c, cmax, step)
         if inner.certified > before:
             viol, stat, bound = per_price_test(inner, c, neg_c, cmax)
             ratios.append(max(viol, stat) / bound)
+        if inner.trusted > trusted_before:
+            trusted.append(sign_and_row_tests_pass(inner, c, neg_c, cmax))
         return x
 
     maps._InnerMap._try_basis = checked
     try:
-        yield ratios
+        yield ratios, trusted
     finally:
         maps._InnerMap._try_basis = real
 
@@ -600,24 +620,43 @@ class TestStationarityFloor:
     """A certified hit skips the per-price stationarity test only where
     that test, run anyway, passes."""
 
-    @settings(max_examples=60, deadline=None)
-    @given(
+    PROGRAMS = dict(
         seed=st.integers(0, 2**32 - 1),
         utility_row=st.booleans(),
         variant=st.sampled_from(["plain", "duplicate", "near-parallel", "tiny-b"]),
     )
+
+    @settings(max_examples=60, deadline=None)
+    @given(**PROGRAMS)
     def test_random_programs_skip_only_passing_tests(self, seed, utility_row, variant):
+        self.run_walk(seed, utility_row, variant, walk=False)
+
+    @settings(max_examples=60, deadline=None)
+    @given(**PROGRAMS)
+    def test_random_walks_trust_only_passing_tests(self, seed, utility_row, variant):
+        self.run_walk(seed, utility_row, variant, walk=True)
+
+    @staticmethod
+    def run_walk(seed, utility_row, variant, walk: bool):
+        # On a walk each price passes its step from the last one the map
+        # answered, as ExcessEvaluator._both does, so hits can be trusted;
+        # else every step is unknown.
         problem = random_program(seed, utility_row, variant)
         rng = np.random.default_rng(seed)
         inner = maps._InnerMap("supply", problem)
-        with skipped_tests_run_anyway() as ratios:
+        last = None
+        with skipped_tests_run_anyway() as (ratios, trusted):
             for c in nearby_and_scattered(rng, problem.q, 30, 5.0):
+                step = math.inf if last is None else float(np.max(np.abs(c - last)))
+                last = None
                 try:
-                    inner.evaluate(c, -c, float(np.max(np.abs(c))))
+                    inner.evaluate(c, -c, float(np.max(np.abs(c))), step)
                 except InnerSolveFailed:
-                    pass
-        assert len(ratios) == inner.certified
+                    continue
+                last = c if walk else None
+        assert len(ratios) == inner.certified and len(trusted) == inner.trusted
         assert all(ratio <= 1.0 for ratio in ratios), max(ratios)
+        assert all(trusted) and (walk or not trusted)
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), m=st.integers(1, 5))
@@ -625,10 +664,11 @@ class TestStationarityFloor:
         inst = random_instance(GenConfig(n=n, m=m, seed=seed))
         rng = np.random.default_rng(seed)
         ev = ExcessEvaluator(inst)
-        with skipped_tests_run_anyway() as ratios:
+        with skipped_tests_run_anyway() as (ratios, trusted):
             for p in nearby_and_scattered(rng, inst.p0 + 1.0, 30, 100.0):
                 ev.evaluate(np.abs(p))
         assert len(ratios) == ev.certified_hits <= ev.fast_hits
+        assert len(trusted) == ev.trusted_hits and all(trusted)
         assert all(ratio <= 1.0 for ratio in ratios), max(ratios)
 
     @settings(max_examples=200, deadline=None)
@@ -665,9 +705,10 @@ class TestStationarityFloor:
     @pytest.mark.bits
     def test_protocol_solves_skip_only_passing_tests(self):
         # The 40 solves of the bench protocol at seed 42, as eqprice bench
-        # runs them; nearly every fast hit there is a certified one.
+        # runs them; nearly every fast hit there is a certified one, and
+        # most certified hits are trusted.
         hits = certified = 0
-        with skipped_tests_run_anyway() as ratios:
+        with skipped_tests_run_anyway() as (ratios, trusted):
             for trial in range(10):
                 for n, m in ((5, 3), (10, 8), (30, 20), (50, 30)):
                     inst = random_instance(GenConfig(n=n, m=m, seed=trial_seed(42, n, m, trial)))
@@ -685,6 +726,7 @@ class TestStationarityFloor:
                     hits, certified = hits + ev.fast_hits, certified + ev.certified_hits
         assert len(ratios) == certified >= 0.99 * hits
         assert all(ratio <= 1.0 for ratio in ratios), max(ratios)
+        assert len(trusted) >= 0.75 * certified and all(trusted)
 
     def test_shifted_piece_floor_lies_above_the_price(self, combined_1d):
         # Supply is p / 2 near p = 4, on the piece with an empty working set.
@@ -701,7 +743,7 @@ class TestStationarityFloor:
         inner._basis, inner._floor = shifted, maps._stationarity_floor(inner.H, shifted)
         assert 4.5 < inner._floor < 200.0
         c = np.array([-4.5])
-        assert inner._try_basis(c, -c, 4.5) is None
+        assert inner._try_basis(c, -c, 4.5, math.inf) is None
         assert inner.certified == 1
 
     def test_non_finite_piece_has_no_floor(self, combined_1d):
@@ -714,6 +756,132 @@ class TestStationarityFloor:
             for bad in (np.nan, np.inf, 1e300):
                 assert maps._stationarity_floor(ev._supply.H, (K_x, c_x + bad, *rest)) == math.inf
                 assert maps._stationarity_floor(ev._supply.H, (K_x + bad, c_x, *rest)) == math.inf
+
+
+class TestTrustBudget:
+    """A hit skips the sign and row tests only within the radius that their
+    last full run proved, measured from the price it ran at; whatever else
+    happens in between sends the next price through the full tests."""
+
+    @staticmethod
+    def trusting(instance) -> ExcessEvaluator:
+        # The second evaluation at 4 inverts and certifies both pieces, so
+        # that both maps hold a budget centred there.
+        ev = ExcessEvaluator(instance)
+        ev.evaluate([4.0])
+        ev.evaluate([4.0])
+        assert ev.certified_hits == 2 and ev.trusted_hits == 0
+        return ev
+
+    def test_a_repeat_price_is_trusted(self, combined_1d):
+        ev = self.trusting(combined_1d)
+        got = ev.evaluate([4.0])
+        assert ev.trusted_hits == ev.certified_hits - 2 == 2
+        assert (got.supply.tolist(), got.demand.tolist()) == ([2.0], [2.0])
+
+    @pytest.mark.parametrize("single, far", [("supply", 30.0), ("demand", -10.0)])
+    def test_one_program_alone_ends_both_chains(self, combined_1d, single, far):
+        # Two calls at a far price certify another piece there and centre
+        # that map's budget on it; a step measured from 4 would trust it at 4.
+        ev = self.trusting(combined_1d)
+        getattr(ev, single)([far])
+        getattr(ev, single)([far])
+        trusted = ev.trusted_hits
+        got = ev.evaluate([4.0])
+        assert ev.trusted_hits == trusted
+        assert (got.supply.tolist(), got.demand.tolist()) == ([2.0], [2.0])
+
+    @pytest.mark.parametrize("failing", ["_supply", "_demand"])
+    def test_a_raise_ends_both_chains(self, combined_1d, monkeypatch, failing):
+        ev = self.trusting(combined_1d)
+
+        def fail(*args):
+            raise InnerSolveFailed("injected")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(getattr(ev, failing), "evaluate", fail)
+            with pytest.raises(InnerSolveFailed):
+                ev.evaluate([4.5])
+        trusted = ev.trusted_hits
+        ev.evaluate([4.5])
+        assert ev.trusted_hits == trusted
+
+    def test_a_resolve_and_its_inversion_run_the_full_tests(self, combined_1d):
+        # At 30 supply's interior piece fails and is solved again; the next
+        # price inverts the new piece, and only the one after is trusted.
+        ev = self.trusting(combined_1d)
+        supply = ev._supply
+        ev.evaluate([30.0])
+        assert (supply.solves, supply.trusted) == (2, 0)
+        ev.evaluate([30.0])
+        assert (supply.inversions, supply.trusted) == (2, 0)
+        ev.evaluate([30.0])
+        assert supply.trusted == 1
+
+    def test_a_price_above_pmax_ends_the_chain(self, combined_1d):
+        supply, c, huge = self.trusting(combined_1d)._supply, np.array([-4.0]), np.array([-2e100])
+        supply.evaluate(c, -c, 4.0, 0.0)
+        assert supply.trusted == 1
+        assert supply._try_basis(huge, -huge, 2e100, 0.0) is None
+        supply.evaluate(c, -c, 4.0, 0.0)
+        assert supply.trusted == 1 and supply.certified == 3
+
+    def test_a_price_below_the_floor_ends_the_chain(self, combined_1d):
+        # As if the piece's stationarity were proven only from 4.2 on: 4.1
+        # runs the per-price test, and 4.5 must then run all of them.
+        supply = self.trusting(combined_1d)._supply
+        supply._floor = 4.2
+        for p, step in ((4.1, 0.1), (4.5, 0.4)):
+            c = np.array([-p])
+            supply.evaluate(c, -c, p, step)
+        assert supply.trusted == 0 and supply.certified == 2
+
+    def test_the_callers_array_may_change_in_place(self, combined_1d):
+        ev = self.trusting(combined_1d)
+        p = np.array([4.0])
+        ev.evaluate(p)
+        trusted = ev.trusted_hits
+        p[0] = 30.0
+        got = ev.evaluate(p)
+        assert ev.trusted_hits == trusted and got.supply.tolist() == [10.0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), utility_row=st.booleans())
+    def test_radius_holds_at_its_worst_prices(self, seed, utility_row):
+        # A whole budget's step in the direction that drives the multiplier,
+        # or the row, that sets the radius hardest towards its threshold.
+        problem, _ = random_qp(np.random.default_rng(seed), with_utility_row=utility_row)
+        inner, c0 = maps._InnerMap("supply", problem), problem.q
+        cmax0 = float(np.max(np.abs(c0)))
+        inner.evaluate(c0, -c0, cmax0, math.inf)
+        inner.evaluate(c0, -c0, cmax0, math.inf)
+        if not inner._budget >= 0.0:
+            return
+        rho, (K_x, c_x, K_l, c_l, _), rates = inner._budget, inner._basis, inner._rates
+        lam, r = K_l @ -c0 + c_l, inner.G @ (K_x @ -c0 + c_x) - inner.h
+        directions = [np.sign(inner.G @ K_x)[int(np.argmin((rates[4] - r) * rates[3]))]]
+        if lam.size:
+            directions.append(-np.sign(K_l)[int(np.argmin((lam + rates[1]) * rates[0]))])
+        for d in directions:
+            neg_c = -c0 + rho * d
+            x = K_x.dot(neg_c) + c_x
+            lam = K_l.dot(neg_c) + c_l
+            assert not lam.size or qp._min(lam) >= -1e-9
+            viol = max(qp._max(inner.G.dot(x) - inner.h), 0.0)
+            assert viol <= min(1e-9 * inner.hscale, maps.CERTIFY_TOL)
+
+    def test_zero_row_norms_and_no_multipliers_raise_no_warning(self, combined_1d):
+        # At 4 supply's piece has an empty working set; at 30 its K_x is 0,
+        # and demand's is 0 at both, so every row of G K_x has norm 0.
+        # Supply is trusted at 4.5 and from the third 30 on, demand also at
+        # the second 30, as its piece holds there.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ev = ExcessEvaluator(combined_1d)
+            for p in (4.0, 4.0, 4.5, 30.0, 30.0, 30.0, 31.0):
+                got = ev.evaluate([p])
+        assert (ev._supply.trusted, ev._demand.trusted) == (3, 4)
+        assert (got.supply.tolist(), got.demand.tolist()) == ([10.0], [2.0])
 
 
 @pytest.fixture(scope="module")
