@@ -28,11 +28,9 @@ from .model import (
     load_instance,
     validate_instance,
 )
-from .solver import Objective, SolveReport, TraceRow, bilevel_solve, trace_csv_rows
+from .solver import STEP_RULE, Objective, SolveReport, TraceRow, bilevel_solve, trace_csv_rows
 
 BENCH_HEADER = ("n", "m", "avg_time_s", "avg_iterations", "trials")
-# The name of the one step rule, 1/sqrt(k+1) (solver.schedule_default).
-SCHEDULE = "sqrt"
 
 
 @dataclass(frozen=True)
@@ -48,9 +46,9 @@ class BenchRow:
 
 
 def _check_schedule(name: str) -> None:
-    """``--schedule`` names the step rule; ``SCHEDULE`` is the only one."""
-    if name != SCHEDULE:
-        raise ValueError(f"unknown schedule {name!r} (available: {SCHEDULE})")
+    """``--schedule`` names the step rule; ``STEP_RULE`` is the only one."""
+    if name != STEP_RULE:
+        raise ValueError(f"unknown schedule {name!r} (available: {STEP_RULE})")
 
 
 def _check_outputs(args: argparse.Namespace, *options: str) -> None:
@@ -109,7 +107,7 @@ def _report_doc(report: SolveReport, eps: float, eta: float) -> dict:
         "meta": {
             "eps": eps,
             "eta": eta,
-            "schedule": SCHEDULE,
+            "schedule": STEP_RULE,
             "final_step_residual": report.trace[-1].step_residual if report.trace else None,
             "version": __version__,
         },
@@ -300,7 +298,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         "eta": "auto (2*mu_F)" if args.eta is None else args.eta,
         "weight": args.weight,
         "start": "zero prices",
-        "schedule": SCHEDULE,
+        "schedule": STEP_RULE,
         "domain": args.domain,
         "trials": args.trials,
         "iteration_limited_trials": limited,
@@ -334,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help=f"projection-map step; 'auto' (default) uses {auto_eta}",
         )
-        p.add_argument("--schedule", default=SCHEDULE, help=f"step schedule name ({SCHEDULE})")
+        p.add_argument("--schedule", default=STEP_RULE, help=f"step schedule name ({STEP_RULE})")
         p.add_argument("--weight", type=float, default=1.0, help="anchor objective weight")
 
     def one_solve(p: argparse.ArgumentParser) -> None:

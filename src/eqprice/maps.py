@@ -52,7 +52,7 @@ def _stationarity_floor(H: FloatArray, basis) -> float:
     K_x, c_x, K_l, c_l, GwT = basis
     top, K, c0 = np.hstack((H, GwT)), np.vstack((K_x, K_l)), np.concatenate((c_x, c_l))
     ku = (2 * top.shape[1] + 3) * 2.0**-53  # k u, k = 2 (n + w) + 3 roundings
-    g, tau, sqrt_n = 2.0 * ku / (1.0 - ku), 0.5 * CERTIFY_TOL, math.sqrt(len(H))  # g = 2 gamma_k
+    g, tau, sqrt_n = 2.0 * ku / (1.0 - ku), 0.5 * CERTIFY_TOL, math.sqrt(len(H))  # g = 2 gamma
     with np.errstate(all="ignore"):  # a block that overflows here has no floor
         abs_top, rows_K = abs(top), abs(K).sum(1)
         R = np.eye(len(H)) - top @ K

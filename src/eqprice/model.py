@@ -49,8 +49,10 @@ def as_price(values, n: int) -> tuple[FloatArray, float]:
     if not (isinstance(values, np.ndarray) and values.dtype == np.float64):  # not the solver's
         qp.refuse_non_numbers(values, "price vector has an entry that is not a number")
     p = np.asarray(values, dtype=float)
-    if p.ndim != 1:  # as qp.as_floats words it
-        raise ValueError(f"price vector has shape {p.shape}, expected (None,)")
+    if p.ndim != 1:  # as qp.as_floats words it: an empty value is 0 entries
+        if p.size:
+            raise ValueError(f"price vector has shape {p.shape}, expected (None,)")
+        p = p.reshape(0)
     if p.shape[0] != n:
         raise ValueError(f"price vector has length {p.shape[0]}, expected {n}")
     pmax = _max(abs(p))

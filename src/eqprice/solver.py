@@ -80,37 +80,18 @@ class Objective:
         return (2.0 * self.weight) * (p - self.p0)
 
 
-@dataclass(frozen=True)
-class StepSchedule:
-    """Step rules k -> lambda_k in (0,1) and k -> alpha_k > 0 (1-based k).
+# The step rule's name on the command line (``--schedule``).
+STEP_RULE = "sqrt"
+
+
+def step_size(k: int) -> float:
+    """The step lambda_k = alpha_k = 1/sqrt(k+1) of iteration k (1-based).
 
     Admissible rules decrease to zero with divergent sum lambda_k*alpha_k
-    and summable successive differences; the 1/sqrt(k+1) pair of
-    ``schedule_default``, the one rule the solver uses, has all three
-    properties (the sum behaves like sum 1/k).
+    and summable successive differences; this one, the one rule the solver
+    uses, has all three properties (the sum behaves like sum 1/k).
     """
-
-    lambda_of: Callable[[int], float]
-    alpha_of: Callable[[int], float]
-
-
-def schedule_default() -> StepSchedule:
-    """The rule lambda_k = alpha_k = 1/sqrt(k+1)."""
-    rule = lambda k: 1.0 / math.sqrt(k + 1.0)  # noqa: E731
-    return StepSchedule(lambda_of=rule, alpha_of=rule)
-
-
-def gamma_k(beta: float, L: float, alpha: float) -> float:
-    """Per-step contraction coefficient 1 - sqrt(1 - 2*beta*alpha + L^2*alpha^2).
-
-    The radicand equals (L*alpha - beta/L)^2 + 1 - beta^2/L^2, hence is
-    nonnegative whenever beta <= L, and alpha/gamma_k -> 1/beta as
-    alpha -> 0.
-    """
-    if beta > L:
-        raise ValueError("beta must not exceed L")
-    radicand = 1.0 - 2.0 * beta * alpha + (L * alpha) ** 2
-    return 1.0 - math.sqrt(max(radicand, 0.0))
+    return 1.0 / math.sqrt(k + 1.0)
 
 
 class TraceRow(NamedTuple):
@@ -159,7 +140,7 @@ def bilevel_solve(
 ) -> SolveReport:
     """Minimize the anchor objective over the fixed points of ``map_oracle``.
 
-    The steps follow ``schedule_default``, lambda_k = alpha_k = 1/sqrt(k+1).
+    Both steps follow ``step_size``, lambda_k = alpha_k = 1/sqrt(k+1).
 
     Parameters
     ----------
@@ -194,7 +175,6 @@ def bilevel_solve(
         raise ValueError("eps must be finite and nonnegative")
     if max_iter < 0:
         raise ValueError("max_iter must be nonnegative")
-    rule = schedule_default().lambda_of  # alpha_of is the same rule
     p0, weight = objective.p0, objective.weight
     p = domain.project(start if start is not None else p0)
     project = domain.projector(p.size)
@@ -206,7 +186,7 @@ def bilevel_solve(
     termination = Termination.ITER_LIMIT
     t0 = time.perf_counter()
     for k in range(1, max_iter + 1):
-        lam = alpha = rule(k)
+        lam = alpha = step_size(k)
         d = p - p0  # g and f_value as in Objective.gradient and Objective.value
         g = (2.0 * weight) * d
         q = project(p - alpha * g)

@@ -5,6 +5,7 @@ Run with  pytest tests/test_acceptance.py -v -s  to see the lines inline.
 
 import csv
 import functools
+import math
 import time
 
 import numpy as np
@@ -16,9 +17,8 @@ from eqprice.model import PriceDomain
 from eqprice.solver import (
     Objective,
     bilevel_solve,
-    gamma_k,
     km_fixed_point,
-    schedule_default,
+    step_size,
 )
 from conftest import make_combined_1d, make_saturated_1d
 from oracles import enumerate_qp, random_qp
@@ -199,13 +199,13 @@ def test_theorem_support_inequalities():
             ) ** 2
             assert lhs <= coeff * np.linalg.norm(x - y) ** 2 + 1e-9
 
-    # alpha_k / gamma_k approaches 1/beta along the default schedule.
-    sched = schedule_default()
+    # alpha / gamma approaches 1/beta along the solver's step rule, gamma being
+    # the contraction coefficient 1 - sqrt(1 - 2 beta alpha + L^2 alpha^2).
     beta = L = 2.0
     for k in (10_000, 20_000, 100_000):
-        alpha = sched.alpha_of(k)
-        ratio = alpha / gamma_k(beta, L, alpha)
-        assert abs(ratio * beta - 1.0) <= 0.01
+        alpha = step_size(k)
+        gamma = 1.0 - math.sqrt(1.0 - 2.0 * beta * alpha + (L * alpha) ** 2)
+        assert abs(alpha / gamma * beta - 1.0) <= 0.01
 
 
 @criterion(8, "benchmark determinism under a fixed seed")

@@ -213,6 +213,7 @@ class TestPriceValidation:
             ([-np.inf], "non-finite"),
             ([1.0, 2.0], "length 2, expected 1"),
             ([], "length 0, expected 1"),
+            ([[]], "length 0, expected 1"),
             ([True], "^price vector has an entry that is not a number: True$"),
             (np.array([True]), "^price vector has an entry that is not a number: True$"),
             (["4"], "^price vector has an entry that is not a number: '4'$"),

@@ -409,8 +409,8 @@ class TestSharedRules:
 
     @pytest.mark.parametrize(
         "price",
-        [[1.0, 2.0], [np.nan], [np.inf], [True], ["4"], [None], 4.0, [[4.0]]],
-        ids=["length", "nan", "inf", "bool", "string", "none", "scalar", "2-d"],
+        [[1.0, 2.0], [np.nan], [np.inf], [True], ["4"], [None], 4.0, [[4.0]], [[]]],
+        ids=["length", "nan", "inf", "bool", "string", "none", "scalar", "2-d", "empty-2-d"],
     )
     def test_price_check_reads_the_same(self, price):
         base = make_combined_1d()

@@ -1,4 +1,4 @@
-"""Hybrid solver, schedules, step coefficients and the KM baseline."""
+"""Hybrid solver, its step rule and the KM baseline."""
 
 import hashlib
 import math
@@ -15,9 +15,8 @@ from eqprice.solver import (
     Objective,
     Termination,
     bilevel_solve,
-    gamma_k,
     km_fixed_point,
-    schedule_default,
+    step_size,
     trace_csv_rows,
 )
 from conftest import make_combined_1d, make_saturated_1d
@@ -25,59 +24,22 @@ from conftest import make_combined_1d, make_saturated_1d
 
 class TestSchedule:
     def test_first_step(self):
-        s = schedule_default()
-        assert np.isclose(s.lambda_of(1), 1.0 / math.sqrt(2.0))
-        assert np.isclose(s.alpha_of(1), 0.70710678, atol=1e-8)
+        assert np.isclose(step_size(1), 1.0 / math.sqrt(2.0))
 
     def test_quarter_values(self):
-        s = schedule_default()
-        assert s.lambda_of(3) == 0.5
-        assert np.isclose(s.lambda_of(99), 0.1)
+        assert step_size(3) == 0.5
+        assert np.isclose(step_size(99), 0.1)
 
     def test_decreasing_in_unit_interval(self):
-        s = schedule_default()
-        vals = [s.lambda_of(k) for k in range(1, 5000)]
+        vals = [step_size(k) for k in range(1, 5000)]
         assert all(0.0 < v < 1.0 for v in vals)
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_product_sum_diverges_like_log(self):
         # sum lambda_k * alpha_k = sum 1/(k+1): partial sums grow ~ ln.
-        s = schedule_default()
-        partial = lambda upto: sum(s.lambda_of(k) * s.alpha_of(k) for k in range(1, upto))
+        partial = lambda upto: sum(step_size(k) ** 2 for k in range(1, upto))
         growth = partial(100_000) - partial(10_000)
         assert abs(growth - math.log(10.0)) < 0.01
-
-
-class TestGamma:
-    def test_quarter_step(self):
-        """beta=L=2, alpha=1/4: radicand (1-1/2)^2 => gamma = 1/2"""
-        assert np.isclose(gamma_k(2.0, 2.0, 0.25), 0.5)
-
-    def test_small_alpha_ratio_approaches_inverse_beta(self):
-        g = gamma_k(2.0, 2.0, 0.01)
-        assert np.isclose(g, 0.02)
-        assert np.isclose(0.01 / g, 0.5)
-
-    def test_continuity_at_zero(self):
-        assert gamma_k(2.0, 2.0, 1e-12) < 1e-10
-
-    def test_radicand_nonnegative_for_admissible_moduli(self, rng):
-        for _ in range(1000):
-            beta = rng.uniform(0.01, 5.0)
-            L = beta + rng.uniform(0.0, 5.0)
-            alpha = rng.uniform(0.0, 10.0)
-            radicand = 1.0 - 2.0 * beta * alpha + (L * alpha) ** 2
-            np.testing.assert_allclose(
-                radicand, (L * alpha - beta / L) ** 2 + 1.0 - (beta / L) ** 2, atol=1e-9
-            )
-            assert radicand >= -1e-12
-            if alpha <= 2.0 * beta / L**2:
-                # Vanishing-step regime: the coefficient is a contraction.
-                assert 0.0 <= gamma_k(beta, L, alpha) <= 1.0
-
-    def test_rejects_beta_above_L(self):
-        with pytest.raises(ValueError):
-            gamma_k(3.0, 2.0, 0.1)
 
 
 class TestGradientStep:
@@ -225,16 +187,22 @@ class TestBilevelSolve:
         assert all(row.step_residual >= eps for row in report.trace[:-1])
 
     def test_first_trace_row_matches_definition(self):
-        # With T = I and a fresh start, p2 is computable by hand.
+        # With T = I and a fresh start, p2, p3 and p4 are computable by hand.
+        # Weight 1 would land p2 on the anchor (lambda_1 alpha_1 = 1/2).
         dom = PriceDomain.orthant()
-        obj = Objective(p0=[6.0])
+        obj = Objective(p0=[6.0], weight=0.25)
         start = np.array([2.0])
         report = bilevel_solve(identity_oracle, obj, dom, start=start, eps=1e-12, max_iter=3)
-        lam = alpha = 1.0 / math.sqrt(2.0)
-        q1 = max(2.0 - alpha * 2.0 * (2.0 - 6.0), 0.0)
-        p2 = lam * q1 + (1 - lam) * 2.0
-        expected = abs(p2 - 2.0) / max(abs(p2), 1.0)
-        assert np.isclose(report.trace[0].step_residual, expected)
+        assert report.iterations == 3
+        p = 2.0
+        for k, row in enumerate(report.trace, start=1):
+            lam = alpha = step_size(k)
+            q = max(p - alpha * 0.5 * (p - 6.0), 0.0)
+            p_next = lam * q + (1 - lam) * p
+            expected = abs(p_next - p) / max(abs(p_next), 1.0)
+            assert np.isclose(row.step_residual, expected)
+            p = p_next
+        np.testing.assert_allclose(report.solution, [p])
 
     def test_iteration_limit_termination(self):
         inst = make_combined_1d(p0=100.0)
