@@ -128,6 +128,13 @@ class SolveReport:
         return self.termination is not Termination.ITER_LIMIT
 
 
+def _check_limits(eps: float, max_iter: int) -> None:
+    if not 0.0 <= eps < math.inf:
+        raise ValueError("eps must be finite and nonnegative")
+    if max_iter < 0:
+        raise ValueError("max_iter must be nonnegative")
+
+
 def bilevel_solve(
     map_oracle: Callable[[FloatArray], FloatArray],
     objective: Objective,
@@ -159,7 +166,7 @@ def bilevel_solve(
         Initial point, projected onto the domain; defaults to the anchor.
     trace_vi_every : int
         Record ||p_k - T(p_k)|| / max(||p_k||, 1) every this many
-        iterations (nan in between).
+        iterations (nan in between), >= 0; 0 records none.
     callback : callable, optional
         Receives an IterationState after each iteration.
 
@@ -171,10 +178,9 @@ def bilevel_solve(
         machine precision (the current iterate already minimizes f on P
         and is fixed under T), CONVERGED on the step rule, else ITER_LIMIT.
     """
-    if not 0.0 <= eps < math.inf:
-        raise ValueError("eps must be finite and nonnegative")
-    if max_iter < 0:
-        raise ValueError("max_iter must be nonnegative")
+    _check_limits(eps, max_iter)
+    if trace_vi_every < 0:
+        raise ValueError("trace_vi_every must be nonnegative")
     p0, weight = objective.p0, objective.weight
     p = domain.project(start if start is not None else p0)
     project = domain.projector(p.size)
@@ -239,8 +245,9 @@ def km_fixed_point(
 
     Converges when T is nonexpansive with fixed points; which fixed point
     it finds depends on the start.  Raises IterationLimitError if the step
-    residual never drops below eps.
+    residual never drops below eps (finite, >= 0) in max_iter (>= 0) steps.
     """
+    _check_limits(eps, max_iter)
     p = domain.project(np.asarray(start, dtype=float))
     for _ in range(max_iter):
         p_next = 0.5 * p + 0.5 * map_oracle(p)

@@ -287,6 +287,7 @@ class TestSolveCommand:
             ({}, ["--eps", "-1"], "error: eps must be finite and nonnegative\n"),
             ({}, ["--eps", "inf"], "error: eps must be finite and nonnegative\n"),
             ({}, ["--max-iter", "-1"], "error: max_iter must be nonnegative\n"),
+            ({}, ["--trace-every", "-3"], "error: trace_vi_every must be nonnegative\n"),
         ],
         ids=[
             "weight-zero",
@@ -309,6 +310,7 @@ class TestSolveCommand:
             "eps-negative",
             "eps-inf",
             "max-iter-negative",
+            "trace-every-negative",
         ],
     )
     @pytest.mark.parametrize("command", ["solve", "trace"])

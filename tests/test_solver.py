@@ -264,6 +264,13 @@ class TestBilevelSolve:
         for p in iterates[k0 - 1 :]:
             assert np.linalg.norm(p - pbar) <= bound + 1e-6
 
+    def test_trace_every_zero_records_no_vi_residual(self):
+        report = bilevel_solve(
+            lambda p: 0.5 * p, Objective(p0=[1.0]), PriceDomain.orthant(), max_iter=5, trace_vi_every=0
+        )
+        assert report.iterations == 5
+        assert all(math.isnan(row.vi_residual) for row in report.trace)
+
 
 @pytest.mark.bits
 class TestLoopOutputsArePinned:
@@ -341,6 +348,28 @@ class TestKmFixedPoint:
         ev = ExcessEvaluator(combined_1d)
         with pytest.raises(IterationLimitError):
             km_fixed_point(ev.map_oracle(), combined_1d.domain, [100.0], eps=1e-12, max_iter=5)
+
+    @pytest.mark.parametrize(
+        "limits, message",
+        [
+            ({"max_iter": -5}, "max_iter must be nonnegative"),
+            ({"eps": math.nan}, "eps must be finite and nonnegative"),
+            ({"eps": -1.0}, "eps must be finite and nonnegative"),
+            ({"eps": math.inf}, "eps must be finite and nonnegative"),
+        ],
+        ids=["max-iter-negative", "eps-nan", "eps-negative", "eps-inf"],
+    )
+    def test_bad_limits_raise_before_any_evaluation(self, limits, message):
+        # The texts of bilevel_solve's checks of the same limits.
+        def oracle(p):
+            raise AssertionError("the map was evaluated")
+
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            km_fixed_point(oracle, PriceDomain.orthant(), [1.0], **limits)
+
+    def test_zero_iterations_raise_the_limit(self):
+        with pytest.raises(IterationLimitError, match="within 0 iterations"):
+            km_fixed_point(identity_oracle, PriceDomain.orthant(), [1.0], max_iter=0)
 
 
 class TestObjective:
