@@ -1,8 +1,9 @@
 """Command-line harness: solve one instance, sweep benchmarks, dump traces.
 
 Exit codes: 0 on convergence (or exact fixed point), 1 on input errors
-(with a diagnostic naming the violated invariant or key), 2 when an
-iteration limit was hit.
+(with a diagnostic naming the violated invariant or key) and failed inner
+solves or draws, 2 when an iteration limit was hit.  ``main`` prints every
+error and warning, as ``error: ...`` and ``warning: Code: ...`` on stderr.
 """
 
 from __future__ import annotations
@@ -133,44 +134,30 @@ def _load_and_validate(path: str, skip: tuple[str, ...] = ()) -> ModelInstance:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     """Handler of ``solve`` (report JSON, optional trace) and ``trace`` (trace CSV)."""
-    try:
-        # An explicit --eta replaces the file's step; the map checks its range.
-        skip = ("EtaOutOfRange",) if args.eta is not None else ()
-        instance = _load_and_validate(args.instance, skip)
-        _check_schedule(args.schedule)
-        _check_outputs(args, "out", "trace", "csv")
-    except (InstanceFormatError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        # Building the oracle and the objective checks --eta and --weight.
-        with warnings.catch_warnings():
-            warnings.showwarning = _print_warning  # as 'warning: Code: text'
-            report = _solve_instance(
-                instance, args.eps, args.max_iter, args.eta, args.weight, args.trace_every
-            )
-    except (ValueError, InnerSolveFailed) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        if args.command == "trace":
-            _write_trace(Path(args.csv), report)
-            print(
-                f"wrote {report.iterations} rows to {args.csv} ({report.termination.value})",
-                file=sys.stderr,
-            )
+    # An explicit --eta replaces the file's step; the map checks its range.
+    skip = ("EtaOutOfRange",) if args.eta is not None else ()
+    instance = _load_and_validate(args.instance, skip)
+    _check_schedule(args.schedule)
+    _check_outputs(args, "out", "trace", "csv")
+    # Building the oracle and the objective checks --eta and --weight.
+    report = _solve_instance(
+        instance, args.eps, args.max_iter, args.eta, args.weight, args.trace_every
+    )
+    if args.command == "trace":
+        _write_trace(Path(args.csv), report)
+        print(
+            f"wrote {report.iterations} rows to {args.csv} ({report.termination.value})",
+            file=sys.stderr,
+        )
+    else:
+        eta = args.eta if args.eta is not None else instance.constants.eta
+        text = json.dumps(_report_doc(report, args.eps, eta), indent=2)
+        if args.out:
+            Path(args.out).write_text(text + "\n")
         else:
-            eta = args.eta if args.eta is not None else instance.constants.eta
-            text = json.dumps(_report_doc(report, args.eps, eta), indent=2)
-            if args.out:
-                Path(args.out).write_text(text + "\n")
-            else:
-                print(text)
-            if args.trace:
-                _write_trace(Path(args.trace), report)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+            print(text)
+        if args.trace:
+            _write_trace(Path(args.trace), report)
     return 0 if report.converged else 2
 
 
@@ -197,9 +184,11 @@ def run_bench(
     Bench protocol: instances come from the seeded generator, each solve
     starts from zero prices so the anchored gradient is active from the
     first step, and the map step defaults to the upper end of its
-    admissible range (2 mu_F; pass ``eta`` to override).  Per-trial wall
-    time covers the solve only (generation and I/O are excluded); averages
-    reduce in fixed trial order so identical seeds give identical
+    admissible range (2 mu_F; pass ``eta`` to override, and the map warns
+    with ``EtaOutOfRange`` for each trial whose 2 mu_F it exceeds).  The
+    instances depend only on the seed, the sizes and the domain.  Per-trial
+    wall time covers the solve only (generation and I/O are excluded);
+    averages reduce in fixed trial order so identical seeds give identical
     aggregates.
     """
     if len(n_list) != len(m_list):
@@ -219,9 +208,7 @@ def run_bench(
         iters: list[int] = []
         size_limited = 0
         for t in range(trials):
-            cfg = GenConfig(
-                n=n, m=m, domain_kind=domain_kind, seed=trial_seed(seed, n, m, t), eta=eta
-            )
+            cfg = GenConfig(n=n, m=m, domain_kind=domain_kind, seed=trial_seed(seed, n, m, t))
             instance = generate(cfg).instance
             trial_eta = eta if eta is not None else 2.0 * instance.constants.mu_F
             report = _solve_instance(
@@ -270,28 +257,24 @@ def write_bench_csv(path: Path, rows: list[BenchRow]) -> None:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    try:
-        n_list = [int(v) for v in args.n.split(",") if v]
-        m_list = [int(v) for v in args.m.split(",") if v]
-        _check_schedule(args.schedule)
-        _check_outputs(args, "csv")
-        rows, limited = run_bench(
-            n_list,
-            m_list,
-            args.trials,
-            args.domain,
-            args.seed,
-            eps=args.eps,
-            max_iter=args.max_iter,
-            eta=args.eta,
-            weight=args.weight,
-            log=sys.stderr,
-        )
-        if args.csv:
-            write_bench_csv(Path(args.csv), rows)
-    except (ValueError, OSError, InnerSolveFailed, GenerationFailed) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    n_list = [int(v) for v in args.n.split(",") if v]
+    m_list = [int(v) for v in args.m.split(",") if v]
+    _check_schedule(args.schedule)
+    _check_outputs(args, "csv")
+    rows, limited = run_bench(
+        n_list,
+        m_list,
+        args.trials,
+        args.domain,
+        args.seed,
+        eps=args.eps,
+        max_iter=args.max_iter,
+        eta=args.eta,
+        weight=args.weight,
+        log=sys.stderr,
+    )
+    if args.csv:
+        write_bench_csv(Path(args.csv), rows)
     meta = {
         "seed": args.seed,
         "eps": args.eps,
@@ -376,7 +359,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        with warnings.catch_warnings():
+            warnings.showwarning = _print_warning  # as 'warning: Code: text'
+            return args.func(args)
+    except (ValueError, OSError, InnerSolveFailed, GenerationFailed) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def entrypoint() -> None:

@@ -51,7 +51,6 @@ class GenConfig:
     m: int
     domain_kind: str = ORTHANT
     seed: int = 0
-    eta: float | None = None
 
     factor_range: ClassVar[tuple[float, float]] = (-10.0, 10.0)
     constraint_range: ClassVar[tuple[float, float]] = (0.0, 20.0)
@@ -177,7 +176,6 @@ def generate(config: GenConfig) -> GeneratedInstance:
             FeasibleSet(A=A, b=b),
             domain,
             p0,
-            eta=config.eta,
         )
         report = data_issues(instance)
         if not report:

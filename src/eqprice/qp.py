@@ -139,9 +139,6 @@ class QpProblem:
             found.x.flags.writeable = False
         return found
 
-    def objective(self, x: FloatArray) -> float:
-        return float(x @ self.Q @ x + self.q @ x)
-
     def gradient(self, x: FloatArray) -> FloatArray:
         return 2.0 * (self.Q @ x) + self.q
 

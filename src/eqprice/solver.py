@@ -163,7 +163,8 @@ def bilevel_solve(
     max_iter : int
         Iteration cap, >= 0; the report then carries ITER_LIMIT.
     start : array, optional
-        Initial point, projected onto the domain; defaults to the anchor.
+        Initial point of the anchor's shape, finite, projected onto the
+        domain; defaults to the anchor.
     trace_vi_every : int
         Record ||p_k - T(p_k)|| / max(||p_k||, 1) every this many
         iterations (nan in between), >= 0; 0 records none.
@@ -182,8 +183,8 @@ def bilevel_solve(
     if trace_vi_every < 0:
         raise ValueError("trace_vi_every must be nonnegative")
     p0, weight = objective.p0, objective.weight
-    p = domain.project(start if start is not None else p0)
-    project = domain.projector(p.size)
+    project = domain.projector(p0.size)
+    p = project(p0 if start is None else qp.as_floats(start, "start", p0.shape))
     # The exact test implies ||dp|| <= sqrt(n) 1e-14 (1 + ||p||) <= sqrt(n) 1e-14
     # (1 + ||p_next|| + ||dp||), so it runs only within 10x that bound (the 10
     # covers rounding).  A NaN step fails both; an infinite one passes the bound.
@@ -244,11 +245,13 @@ def km_fixed_point(
     """Averaged fixed-point iteration p <- p/2 + T(p)/2.
 
     Converges when T is nonexpansive with fixed points; which fixed point
-    it finds depends on the start.  Raises IterationLimitError if the step
-    residual never drops below eps (finite, >= 0) in max_iter (>= 0) steps.
+    it finds depends on the start, a finite 1-D array.  Raises
+    IterationLimitError if the step residual never drops below eps
+    (finite, >= 0) in max_iter (>= 0) steps.
     """
     _check_limits(eps, max_iter)
-    p = domain.project(np.asarray(start, dtype=float))
+    start = qp.as_floats(start, "start", (None,))
+    p = domain.projector(start.size)(start)
     for _ in range(max_iter):
         p_next = 0.5 * p + 0.5 * map_oracle(p)
         residual = float(np.linalg.norm(p_next - p) / max(np.linalg.norm(p_next), 1.0))

@@ -56,7 +56,7 @@ def enumerate_qp(problem: QpProblem, feas_tol: float = 1e-8, dual_tol: float = 1
                 continue
             if size and float(lam.min()) < -dual_tol:
                 continue
-            val = problem.objective(x)
+            val = float(x @ problem.Q @ x + problem.q @ x)
             if val < best_val - 1e-12:
                 best_val = val
                 best_x = x

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eqprice import cli
+from eqprice import cli, gen
 from eqprice.cli import main, run_bench, trial_seed, write_bench_csv
 from eqprice.gen import GenConfig, random_instance
 from eqprice.model import (
@@ -468,20 +468,40 @@ class TestBenchCommand:
         assert captured.err == stderr
         assert not out.exists()
 
-    def test_generation_failure_exits_one_without_csv(self, tmp_path, capsys):
-        # No draw admits eta = 1e9, so all 100 attempts fail quickly.
+    def test_generation_failure_exits_one_without_csv(self, tmp_path, capsys, monkeypatch):
+        # Every attempt's factor misses the eigenvalue floor, so all 100 are spent.
+        def exhausted(n, rng):
+            raise gen.GenerationFailed("no factor")
+
+        monkeypatch.setattr(gen, "pd_from_factor", exhausted)
         out = tmp_path / "out.csv"
         code = main(
-            ["bench", "--n", "2", "--m", "1", "--trials", "1", "--seed", "0",
-             "--eta", "1e9", "--csv", str(out)]
+            ["bench", "--n", "2", "--m", "1", "--trials", "1", "--seed", "0", "--csv", str(out)]
         )
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        err = captured.err.splitlines()
-        assert len(err) == 1
-        assert err[0].startswith("error: 100 attempts exhausted; last report: EtaOutOfRange: ")
+        assert captured.err == (
+            "error: 100 attempts exhausted; last report: "
+            "FactorRedrawsExhausted: eigenvalue floor missed\n"
+        )
         assert not out.exists()
+
+    def test_out_of_range_eta_warns_and_keeps_the_instances(self, tmp_path, capsys):
+        # 5.4257 is above 2 mu_F on four of seed 42's ten 5/3 instances; each
+        # of those warns as solve does, and all ten are solved as drawn.
+        out = tmp_path / "out.csv"
+        code = main(
+            ["bench", "--n", "5", "--m", "3", "--trials", "10", "--seed", "42",
+             "--eta", "5.4257", "--csv", str(out)]
+        )
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"warning: EtaOutOfRange: eta = 5.4257 outside (0, {bound}]"
+            for bound in ("4.78399", "4.03338", "5.42521", "4.20347")
+        ]
+        assert "avg_iterations=817.3 " in captured.out
 
     @pytest.mark.parametrize(
         "eta, stderr",

@@ -173,22 +173,16 @@ class TestGeneratedBits:
         config = GenConfig(n=n, m=m, domain_kind=domain_kind, seed=trial_seed(42, n, m, 0))
         assert _generated_digest(generate(config)) == digest
 
-    def test_explicit_eta_retries_are_pinned(self):
-        # eta at 1.05 times the admissible maximum 2 mu_F of the seed's
-        # default draw: that attempt fails the eta range check, and later
-        # attempts (fresh streams) succeed once their mu_F is large enough.
-        attempts = []
-        for seed in range(6):
-            mu_f = generate(GenConfig(n=5, m=3, seed=seed)).instance.constants.mu_F
-            attempts.append(generate(GenConfig(n=5, m=3, seed=seed, eta=1.05 * 2.0 * mu_f)).attempts)
-        assert attempts == [5, 2, 6, 2, 67, 5]
+    def test_exhausted_attempts_keep_last_report(self, monkeypatch):
+        # Every attempt's factor misses the eigenvalue floor, so all 100 are spent.
+        def exhausted(n, rng):
+            raise gen.GenerationFailed("no factor")
 
-    def test_exhausted_attempts_keep_last_report(self):
-        # An eta no draw can admit fails all 100 attempts on the eta check.
+        monkeypatch.setattr(gen, "pd_from_factor", exhausted)
         with pytest.raises(gen.GenerationFailed) as failed:
-            generate(GenConfig(n=2, m=1, seed=0, eta=1e9))
+            generate(GenConfig(n=2, m=1, seed=0))
         assert str(failed.value) == (
-            "100 attempts exhausted; last report: EtaOutOfRange: eta = 1e+09 outside (0, 120.927]"
+            "100 attempts exhausted; last report: FactorRedrawsExhausted: eigenvalue floor missed"
         )
 
 

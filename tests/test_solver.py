@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -370,6 +371,47 @@ class TestKmFixedPoint:
     def test_zero_iterations_raise_the_limit(self):
         with pytest.raises(IterationLimitError, match="within 0 iterations"):
             km_fixed_point(identity_oracle, PriceDomain.orthant(), [1.0], max_iter=0)
+
+
+def _hybrid_from(oracle, start):
+    return bilevel_solve(oracle, Objective(p0=[1.0, 2.0]), PriceDomain.orthant(), start=start)
+
+
+def _km_from(oracle, start):
+    return km_fixed_point(oracle, PriceDomain.orthant(), start)
+
+
+_BAD_STARTS = {
+    "strings": (["1", "2"], "^start has an entry that is not a number: '1'$"),
+    "bool": ([True, 2.0], "^start has an entry that is not a number: True$"),
+    "2-d": ([[1.0, 2.0]], r"^start has shape \(1, 2\), expected \((2|None),\)$"),
+    "inf": ([math.inf, 1.0], "^start has non-finite entries$"),
+}
+
+
+@pytest.mark.parametrize(
+    "solve, start, message",
+    [
+        *(
+            pytest.param(_hybrid_from, *case, id=f"hybrid-{name}")
+            for name, case in _BAD_STARTS.items()
+        ),
+        pytest.param(
+            _hybrid_from, [1.0, 2.0, 3.0], r"^start has shape \(3,\), expected \(2,\)$",
+            id="hybrid-length-3",
+        ),
+        *(pytest.param(_km_from, *case, id=f"km-{name}") for name, case in _BAD_STARTS.items()),
+    ],
+)
+def test_bad_start_raises_before_any_evaluation(solve, start, message):
+    # Read with qp.as_floats, so no map runs and numpy warns of nothing.
+    def oracle(p):
+        raise AssertionError("the map was evaluated")
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            solve(oracle, start)
 
 
 class TestObjective:
