@@ -26,7 +26,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 import numpy.typing as npt
@@ -87,13 +86,14 @@ class EtaOutOfRange(UserWarning):
     """A map step above 2 mu_F; the projected step may be expansive."""
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class MapEvaluation:
-    """Joint supply/demand/excess values at one price."""
+    """Supply and demand at one price; ``excess``, their difference, is not
+    stored but recomputed on each access (the same bits every time)."""
 
     supply: FloatArray
     demand: FloatArray
-    excess: FloatArray
+    excess = property(lambda self: self.supply - self.demand)
 
 
 def supply_problem(instance: ModelInstance, p: FloatArray) -> qp.QpProblem:
@@ -305,8 +305,7 @@ class ExcessEvaluator:
 
     def evaluate(self, p) -> MapEvaluation:
         """Supply, demand and excess at p."""
-        s, d = self._both(*as_price(p, self.instance.n))
-        return MapEvaluation(supply=s, demand=d, excess=s - d)
+        return MapEvaluation(*self._both(*as_price(p, self.instance.n)))
 
     def _both(self, p: FloatArray, pmax: float) -> tuple[FloatArray, FloatArray]:
         """Supply and demand at p; one negation of p.

@@ -90,7 +90,7 @@ class QpStatus(str, Enum):
     INFEASIBLE = "infeasible"
     ITER_LIMIT = "iter_limit"
     OVERFLOW = "overflow"
-    INACCURATE = "inaccurate"  # the loop's sign test passed, the residual test did not
+    INACCURATE = "inaccurate"  # the sign test passed, the residual test (and a vertex re-solve) did not
 
 
 @dataclass(frozen=True)
@@ -235,6 +235,18 @@ def solve_prepared(
         residual = _kkt_residual_on_set(hx + c, G, h, x, lam, wset)
         if status is QpStatus.OPTIMAL and not residual <= DEFAULT_TOL * residual_scale(_max(abs(c)), hx):
             status = QpStatus.INACCURATE
+            if len(wset) == H.shape[0]:  # a vertex: solve its rows and multipliers afresh
+                Gw = G[wset]
+                try:
+                    x_v = np.linalg.solve(Gw, h[wset])
+                    hx = H.dot(x_v)
+                    lam_v = np.linalg.solve(Gw.T, -(hx + c))
+                except np.linalg.LinAlgError:
+                    pass
+                else:
+                    r_v = _kkt_residual_on_set(hx + c, G, h, x_v, lam_v, wset)
+                    if r_v <= DEFAULT_TOL * residual_scale(_max(abs(c)), hx):
+                        x, residual, status = x_v, r_v, QpStatus.OPTIMAL
     return QpSolution(
         x=x,
         kkt_residual=residual,

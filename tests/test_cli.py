@@ -436,6 +436,18 @@ class TestBenchCommand:
         assert len(rows) == 2
         assert rows[1][0] == "2" and rows[1][4] == "2"
 
+    def test_iteration_limit_exits_two_and_names_each_trial(self, capsys):
+        # Three iterations solve neither of seed 42's first two 5/3 trials.
+        args = ["bench", "--n", "5", "--m", "3", "--trials", "2", "--seed", "42", "--max-iter", "3"]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "iteration limit: n=5 m=3 trial=0",
+            "iteration limit: n=5 m=3 trial=1",
+        ]
+        meta = json.loads(captured.out.splitlines()[-1])
+        assert meta["iteration_limited_trials"] == 2
+
     def test_unequal_lists_exit_one(self, capsys):
         assert main(["bench", "--n", "2,3", "--m", "1"]) == 1
         assert "equal length" in capsys.readouterr().err

@@ -431,6 +431,14 @@ class TestPerturbationPolicy:
         assert sol.status is QpStatus.OPTIMAL and len(sol.working_set) == 2
         assert sol.bumps == 0
 
+    def test_gives_up_after_eight_bumps(self, monkeypatch):
+        # Every step singular: eight bump rounds, then the ninth iteration stops.
+        monkeypatch.setattr(qp_module, "_kkt_step", lambda *args: None)
+        problem, _ = random_qp(np.random.default_rng(5))
+        sol = solve_qp(problem)
+        assert sol.status is QpStatus.ITER_LIMIT
+        assert (sol.iterations, sol.bumps) == (9, 8)
+
 
 class TestReductions:
     def test_max_min_match_the_ufunc_reductions(self):
@@ -587,6 +595,52 @@ class TestPostLoopCheck:
                 expected = residual_on_set(problem, x, lam, wset)
                 assert sol.kkt_residual == pytest.approx(expected, rel=1e-9, abs=1e-12)
         assert min(kinds["empty"], kinds["refit"], kinds["kept"]) > 20, kinds
+
+
+class TestVertexRepair:
+    """An OPTIMAL loop that misses the residual bound on n working-set rows (a
+    vertex) is solved afresh on those rows."""
+
+    @staticmethod
+    def nudged(monkeypatch, shift, wset=None):
+        """Make the loop end ``shift`` off its point, on rows ``wset`` if given."""
+        active_set = qp_module._active_set
+
+        def nudge(*args):
+            x, lam, found, *rest = active_set(*args)
+            return (x + shift, lam, found if wset is None else wset, *rest)
+
+        monkeypatch.setattr(qp_module, "_active_set", nudge)
+
+    def test_vertex_is_solved_on_its_rows(self, monkeypatch):
+        # min |x - (3, 3)|^2 on x <= (1, 1): the vertex (1, 1), multipliers 4.
+        problem = QpProblem(Q=np.eye(2), q=[-6.0, -6.0], A=np.eye(2), b=[1.0, 1.0])
+        self.nudged(monkeypatch, [1e-6, 0.0])
+        sol = solve_qp(problem)
+        assert sol.status is QpStatus.OPTIMAL and sorted(sol.working_set) == [0, 1]
+        np.testing.assert_array_equal(sol.x, [1.0, 1.0])
+        assert sol.kkt_residual == 0.0
+
+    @pytest.mark.parametrize(
+        "A, b, wset, tol",
+        [
+            ([[1.0, 1.0]], [2.0], None, qp_module.DEFAULT_TOL),
+            ([[1.0, 0.0], [1.0, 0.0]], [1.0, 1.0], [0, 1], qp_module.DEFAULT_TOL),
+            (np.eye(2), [1.0, 1.0], None, -1.0),
+        ],
+        ids=["one-row", "dependent-rows", "re-solve-misses"],
+    )
+    def test_other_misses_stay_inaccurate(self, monkeypatch, A, b, wset, tol):
+        # One row of two is no vertex, two equal rows make a singular
+        # re-solve, and under a bound no residual meets the re-solve misses:
+        # each keeps the loop's point.
+        problem = QpProblem(Q=np.eye(2), q=[-6.0, -6.0], A=A, b=b)
+        exact = solve_qp(problem)
+        self.nudged(monkeypatch, [1e-6, 0.0], wset)
+        monkeypatch.setattr(qp_module, "DEFAULT_TOL", tol)
+        sol = solve_qp(problem)
+        assert sol.status is QpStatus.INACCURATE
+        np.testing.assert_array_equal(sol.x, exact.x + [1e-6, 0.0])
 
 
 def initial_working_set_reference(G, h, x, requested, n):
