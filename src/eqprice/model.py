@@ -4,8 +4,8 @@ A model instance bundles the producer cost form C, the consumer tax form B,
 the utility weights l with floor M, the common strategy polyhedron
 X = {x >= 0 : Ax <= b}, the price domain P (nonnegative orthant or box) and
 the guessed price p0 that anchors the regularizing objective.  Derived
-monotonicity and Lipschitz constants are computed once at construction and
-drive the admissible step of the projection map.
+moduli are computed once at construction and drive the admissible step of
+the projection map.
 """
 
 from __future__ import annotations
@@ -43,16 +43,13 @@ class InstanceFormatError(ValueError):
 def as_price(values, n: int) -> tuple[FloatArray, float]:
     """The price as a 1-D float array of length n, and its max|p|.
 
-    max|p| is non-finite exactly when some entry is, so it doubles as the
-    finiteness check.
+    The solver's own arrays, 1-D float64, are taken as they are; anything
+    else is read by ``qp.as_floats``.  max|p| is non-finite exactly when
+    some entry is, so it doubles as the finiteness check.
     """
-    if not (isinstance(values, np.ndarray) and values.dtype == np.float64):  # not the solver's
-        qp.refuse_non_numbers(values, "price vector has an entry that is not a number")
-    p = np.asarray(values, dtype=float)
-    if p.ndim != 1:  # as qp.as_floats words it: an empty value is 0 entries
-        if p.size:
-            raise ValueError(f"price vector has shape {p.shape}, expected (None,)")
-        p = p.reshape(0)
+    p = values
+    if not (isinstance(p, np.ndarray) and p.dtype == np.float64 and p.ndim == 1):
+        p = qp.as_floats(values, "price vector", (None,))
     if p.shape[0] != n:
         raise ValueError(f"price vector has length {p.shape[0]}, expected {n}")
     pmax = _max(abs(p))
@@ -169,10 +166,10 @@ class AgentCosts:
 
 @dataclass(frozen=True)
 class ModelConstants:
-    """Derived moduli: strong convexity, co-coercivity, Lipschitz, map step.
+    """Derived moduli: strong convexity, co-coercivity, map step.
 
     mu_c and mu_t are twice the smallest eigenvalues of C and B (the modulus
-    for which h - (mu/2)||.||^2 stays convex), L = 1/mu are the induced
+    for which h - (mu/2)||.||^2 stays convex), so 1/mu_c and 1/mu_t are the
     Lipschitz constants of the optimal-strategy maps, mu_F = min(mu_c,mu_t)/2
     is the co-coercivity modulus of the excess map, and eta in (0, 2*mu_F]
     is the step used inside the projection map.
@@ -181,8 +178,6 @@ class ModelConstants:
     mu_c: float
     mu_t: float
     mu_F: float
-    L_c: float
-    L_t: float
     eta: float
 
 
@@ -211,7 +206,7 @@ def compute_constants(costs: AgentCosts, eta: float | None = None) -> ModelConst
     mu_t = 2.0 * lam_b
     mu_f = 0.5 * min(mu_c, mu_t)
     eta, _ = as_eta(mu_f if eta is None else eta, mu_f)
-    return ModelConstants(mu_c=mu_c, mu_t=mu_t, mu_F=mu_f, L_c=1.0 / mu_c, L_t=1.0 / mu_t, eta=eta)
+    return ModelConstants(mu_c=mu_c, mu_t=mu_t, mu_F=mu_f, eta=eta)
 
 
 @dataclass(frozen=True)
@@ -231,8 +226,8 @@ class ModelInstance:
             object.__setattr__(self, "feasible", FeasibleSet(A=A, b=self.feasible.b))
         if self.domain.kind == BOX and self.domain.lower.shape[0] != self.n:
             raise ValueError("box bounds do not match dimension n")
-        # Named as the maps name a price, so a bad p0 reads as a bad price there.
-        p0, _ = as_price(qp.as_floats(self.p0, "price vector", (None,)), self.n)
+        # Read as the maps read a price, so a bad p0 reads as a bad price there.
+        p0, _ = as_price(self.p0, self.n)
         projected = self.domain.project(p0)
         projected.flags.writeable = False
         moved = bool(np.max(np.abs(projected - p0), initial=0.0) > 0.0)
@@ -370,32 +365,27 @@ def instance_from_json(doc: dict) -> ModelInstance:
             raise InstanceFormatError(f"missing required key '{key}'")
 
     def read(key: str, shape: tuple[int, ...], source: dict = doc) -> FloatArray:
-        try:
-            return qp.as_floats(source[key], f"key '{key}'", shape)
-        except ValueError as exc:
-            raise InstanceFormatError(str(exc)) from exc
+        return qp.as_floats(source[key], f"key '{key}'", shape)
 
-    for key in ("n", "m"):
-        if not (float(read(key, ())).is_integer() and doc[key] >= 0):
-            raise InstanceFormatError(
-                f"key '{key}' must be a nonnegative integer, got {doc[key]!r}"
-            )
-    n, m = int(doc["n"]), int(doc["m"])
-    if n == 0:
-        raise InstanceFormatError("key 'n' must be at least 1")
-    dom = doc["domain"]
-    if not isinstance(dom, dict) or "kind" not in dom:
-        raise InstanceFormatError("key 'domain' must be an object with a 'kind'")
-    try:
+    try:  # every ValueError below, ours or a constructor's, becomes an InstanceFormatError
+        for key in ("n", "m"):
+            if not (float(read(key, ())).is_integer() and doc[key] >= 0):
+                raise ValueError(f"key '{key}' must be a nonnegative integer, got {doc[key]!r}")
+        n, m = int(doc["n"]), int(doc["m"])
+        if n == 0:
+            raise ValueError("key 'n' must be at least 1")
+        dom = doc["domain"]
+        if not isinstance(dom, dict) or "kind" not in dom:
+            raise ValueError("key 'domain' must be an object with a 'kind'")
         if dom["kind"] == ORTHANT:
             domain = PriceDomain.orthant()
         elif dom["kind"] == BOX:
             for k in ("lower", "upper"):
                 if k not in dom:
-                    raise InstanceFormatError(f"box domain requires key '{k}'")
+                    raise ValueError(f"box domain requires key '{k}'")
             domain = PriceDomain.box(read("lower", (n,), dom), read("upper", (n,), dom))
         else:
-            raise InstanceFormatError(f"domain kind {dom['kind']!r} is not 'orthant' or 'box'")
+            raise ValueError(f"domain kind {dom['kind']!r} is not 'orthant' or 'box'")
         costs = AgentCosts(
             C=read("C", (n, n)), B=read("B", (n, n)), l=read("l", (n,)), M=read("M", ())
         )
@@ -405,9 +395,7 @@ def instance_from_json(doc: dict) -> ModelInstance:
         if eta is not None and not isinstance(eta, float):
             eta = read("eta", ()).item()
         return ModelInstance.build(costs, feasible, domain, read("p0", (n,)), eta=eta)
-    except InstanceFormatError:
-        raise
-    except (TypeError, ValueError, NotPositiveDefinite) as exc:
+    except (TypeError, ValueError) as exc:
         raise InstanceFormatError(str(exc)) from exc
 
 

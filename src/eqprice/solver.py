@@ -72,10 +72,6 @@ class Objective:
     def L(self) -> float:
         return 2.0 * self.weight
 
-    def value(self, p: FloatArray) -> float:
-        d = p - self.p0
-        return self.weight * float(d @ d)
-
     def gradient(self, p: FloatArray) -> FloatArray:
         return (2.0 * self.weight) * (p - self.p0)
 
@@ -128,11 +124,15 @@ class SolveReport:
         return self.termination is not Termination.ITER_LIMIT
 
 
-def _check_limits(eps: float, max_iter: int) -> None:
+def _check_limits(eps: float, max_iter: int, trace_vi_every: int = 0) -> None:
+    qp.refuse_non_numbers(eps, "eps is not a number")
     if not 0.0 <= eps < math.inf:
         raise ValueError("eps must be finite and nonnegative")
-    if max_iter < 0:
-        raise ValueError("max_iter must be nonnegative")
+    for name, count in (("max_iter", max_iter), ("trace_vi_every", trace_vi_every)):
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+            raise ValueError(f"{name} is not an integer: {count!r}")
+        if count < 0:
+            raise ValueError(f"{name} must be nonnegative")
 
 
 def bilevel_solve(
@@ -179,9 +179,7 @@ def bilevel_solve(
         machine precision (the current iterate already minimizes f on P
         and is fixed under T), CONVERGED on the step rule, else ITER_LIMIT.
     """
-    _check_limits(eps, max_iter)
-    if trace_vi_every < 0:
-        raise ValueError("trace_vi_every must be nonnegative")
+    _check_limits(eps, max_iter, trace_vi_every)
     p0, weight = objective.p0, objective.weight
     project = domain.projector(p0.size)
     p = project(p0 if start is None else qp.as_floats(start, "start", p0.shape))
@@ -194,7 +192,7 @@ def bilevel_solve(
     t0 = time.perf_counter()
     for k in range(1, max_iter + 1):
         lam = alpha = step_size(k)
-        d = p - p0  # g and f_value as in Objective.gradient and Objective.value
+        d = p - p0  # g as in Objective.gradient; f_value = weight ||p - p0||^2
         g = (2.0 * weight) * d
         q = project(p - alpha * g)
         tp = map_oracle(p)

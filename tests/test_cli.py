@@ -560,6 +560,15 @@ class TestBenchCommand:
         )
         assert [r.avg_iterations for r in rows] == [662.5, 808.9]
 
+    @pytest.mark.parametrize(
+        "sizes, trials, message",
+        [(([], []), 1, "size lists must be nonempty"), (([2], [1]), 0, "trials must be at least 1")],
+        ids=["no-sizes", "no-trials"],
+    )
+    def test_empty_sweep_is_refused(self, sizes, trials, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_bench(*sizes, trials=trials, domain_kind="orthant", seed=0)
+
     def test_csv_round_trip_exact(self, tmp_path):
         rows, _ = run_bench([2], [1], trials=2, domain_kind="orthant", seed=3, max_iter=5000)
         path = tmp_path / "rt.csv"

@@ -9,7 +9,7 @@ import pytest
 from eqprice import gen
 from eqprice.cli import trial_seed
 from eqprice.gen import GenConfig, generate, max_utility, pd_from_factor, random_instance
-from eqprice.model import min_eigenvalue, validate_instance
+from eqprice.model import ValidationIssue, min_eigenvalue, validate_instance
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -184,6 +184,12 @@ class TestGeneratedBits:
         assert str(failed.value) == (
             "100 attempts exhausted; last report: FactorRedrawsExhausted: eigenvalue floor missed"
         )
+
+    def test_a_reported_draw_is_redrawn(self, monkeypatch):
+        # The first draw is reported, so the second is the one returned.
+        reports = [[ValidationIssue("NonpositiveFloor", "reported once")]]
+        monkeypatch.setattr(gen, "data_issues", lambda inst: reports.pop() if reports else [])
+        assert generate(GenConfig(n=2, m=1, seed=0)).attempts == 2
 
 
 class TestFloorScreen:

@@ -227,6 +227,8 @@ class TestPriceValidation:
             ([None], "^price vector has an entry that is not a number: None$"),
             (4.0, r"^price vector has shape \(\), expected \(None,\)$"),
             ([[4.0]], r"^price vector has shape \(1, 1\), expected \(None,\)$"),
+            ([10**400], "^price vector has an entry that is not a number: int too large"),
+            (np.array([-np.inf]), "^price vector has non-finite entries$"),
         ],
     )
     def test_bad_price_raises_before_any_solve(self, combined_1d, entry, price, message):
@@ -384,6 +386,34 @@ class TestEvaluatorCaching:
         ev_45 = ev.evaluate([4.5])
         assert ev.qp_solves == solves + 1
         np.testing.assert_allclose(ev_45.supply, [2.25], rtol=0, atol=1e-12)
+
+    def test_singular_pending_piece_is_dropped(self, combined_1d, monkeypatch):
+        # A singular KKT block makes _screen's solve raise: the pending piece
+        # is dropped uninverted, and each price is answered by an active-set solve.
+        def singular(inner):
+            Gw = inner.G[inner._pending]
+            return np.zeros((inner.H.shape[0] + len(Gw),) * 2), Gw, inner.h[inner._pending]
+
+        monkeypatch.setattr(maps._InnerMap, "_pending_system", singular)
+        ev = ExcessEvaluator(combined_1d)
+        for p in (4.0, 4.0, 4.5):
+            out = ev.evaluate([p])
+            np.testing.assert_allclose(out.supply, [p / 2], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(out.demand, [2.0], rtol=0, atol=1e-12)
+        assert (ev.qp_solves, ev.fast_hits, ev.basis_inversions) == (6, 0, 0)
+
+    def test_failed_inversion_leaves_no_basis(self, combined_1d, monkeypatch):
+        # The piece passes _screen, but inverting its KKT matrix raises: the
+        # inversion counts, no basis is cached and the active-set solve answers.
+        def refuse(a):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(maps.np.linalg, "inv", refuse)
+        ev = ExcessEvaluator(combined_1d)
+        for _ in range(2):
+            np.testing.assert_allclose(ev.supply([4.0]), [2.0], rtol=0, atol=1e-12)
+        assert ev._supply._basis is None
+        assert (ev._supply.inversions, ev.fast_hits, ev.qp_solves) == (1, 0, 2)
 
     @staticmethod
     def scattered_prices(n: int, m: int) -> tuple[str, tuple[int, int]]:
@@ -1084,5 +1114,5 @@ class TestLemmaProperties:
             p1 = rng.uniform(0, 100, size=4)
             p2 = rng.uniform(0, 100, size=4)
             dp = np.linalg.norm(p1 - p2)
-            assert np.linalg.norm(ev.supply(p1) - ev.supply(p2)) <= kc.L_c * dp + 1e-7
-            assert np.linalg.norm(ev.demand(p1) - ev.demand(p2)) <= kc.L_t * dp + 1e-7
+            assert np.linalg.norm(ev.supply(p1) - ev.supply(p2)) <= dp / kc.mu_c + 1e-7
+            assert np.linalg.norm(ev.demand(p1) - ev.demand(p2)) <= dp / kc.mu_t + 1e-7

@@ -43,7 +43,7 @@ class TestComputeConstants:
         k = compute_constants(costs_1d())
         assert k.mu_c == 2.0 and k.mu_t == 2.0
         assert k.mu_F == 1.0
-        assert k.L_c == 0.5 and k.L_t == 0.5
+        assert 1.0 / k.mu_c == 0.5 and 1.0 / k.mu_t == 0.5
         assert k.eta == 1.0
 
     def test_scaled_identity(self):
@@ -85,20 +85,10 @@ class TestComputeConstants:
             B = f2.T @ f2 + 0.1 * np.eye(n)
             k = compute_constants(AgentCosts(C=C, B=B, l=np.ones(n), M=1.0))
             assert abs(k.mu_F - 0.5 * min(k.mu_c, k.mu_t)) <= 1e-12
-            assert abs(k.L_c * k.mu_c - 1.0) <= 1e-12
-            assert abs(k.L_t * k.mu_t - 1.0) <= 1e-12
             assert 0.0 < k.eta <= 2.0 * k.mu_F
 
 
 class TestPriceDomain:
-    def test_orthant_projection(self):
-        dom = PriceDomain.orthant()
-        np.testing.assert_allclose(dom.project([1.0, -2.0]), [1.0, 0.0])
-
-    def test_box_projection(self):
-        dom = PriceDomain.box([0.0, 0.0], [10.0, 10.0])
-        np.testing.assert_allclose(dom.project([12.0, 5.0]), [10.0, 5.0])
-
     def test_bad_box_bounds(self):
         with pytest.raises(ValueError):
             PriceDomain.box([1.0], [0.0])
@@ -106,6 +96,39 @@ class TestPriceDomain:
     def test_orthant_refuses_bounds(self):
         with pytest.raises(ValueError):
             PriceDomain(kind="orthant", lower=np.zeros(1), upper=np.ones(1))
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        pytest.param(
+            lambda: PriceDomain(kind="simplex"), ValueError, "unknown domain kind 'simplex'",
+            id="domain-kind",
+        ),
+        pytest.param(
+            lambda: AgentCosts(C=[[1.0, 0.0]], B=[[1.0]], l=[1.0], M=1.0),
+            ValueError, "C must be square", id="C-not-square",
+        ),
+        pytest.param(
+            lambda: compute_constants(costs_1d(b=-1.0)),
+            NotPositiveDefinite, r"B has smallest eigenvalue -1\.000e\+00", id="B-indefinite",
+        ),
+        pytest.param(
+            lambda: ModelInstance.build(
+                costs_1d(), FeasibleSet(A=[[1.0]], b=[10.0]),
+                PriceDomain.box([0.0, 0.0], [1.0, 1.0]), [1.0],
+            ),
+            ValueError, "box bounds do not match dimension n", id="box-length",
+        ),
+        pytest.param(
+            lambda: QpProblem(Q=[[1.0, 0.0]], q=[0.0], A=[[1.0]], b=[10.0]),
+            ValueError, "Q must be square", id="Q-not-square",
+        ),
+    ],
+)
+def test_constructors_refuse_inconsistent_data(build, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        build()
 
 
 class TestValidateInstance:
@@ -211,8 +234,8 @@ class TestInnerPrograms:
 
 class TestSupplyLipschitz:
     def test_diagonal_costs_meet_derived_constant(self, rng):
-        # C diagonal makes the supply map componentwise and the constant
-        # L_c = 1/mu_c tight.
+        # C diagonal makes the supply map componentwise and its
+        # Lipschitz constant 1/mu_c tight.
         inst = ModelInstance.build(
             AgentCosts(C=[[2.0, 0.0], [0.0, 0.5]], B=np.eye(2), l=[1.0, 1.0], M=0.5),
             FeasibleSet(A=[[1.0, 1.0]], b=[50.0]),
@@ -220,7 +243,7 @@ class TestSupplyLipschitz:
             [1.0, 1.0],
         )
         ev = maps.ExcessEvaluator(inst)
-        L = inst.constants.L_c
+        L = 1.0 / inst.constants.mu_c
         for _ in range(100):
             p1 = rng.uniform(0, 30, size=2)
             p2 = rng.uniform(0, 30, size=2)

@@ -350,35 +350,54 @@ class TestKmFixedPoint:
         with pytest.raises(IterationLimitError):
             km_fixed_point(ev.map_oracle(), combined_1d.domain, [100.0], eps=1e-12, max_iter=5)
 
-    @pytest.mark.parametrize(
-        "limits, message",
-        [
-            ({"max_iter": -5}, "max_iter must be nonnegative"),
-            ({"eps": math.nan}, "eps must be finite and nonnegative"),
-            ({"eps": -1.0}, "eps must be finite and nonnegative"),
-            ({"eps": math.inf}, "eps must be finite and nonnegative"),
-        ],
-        ids=["max-iter-negative", "eps-nan", "eps-negative", "eps-inf"],
-    )
-    def test_bad_limits_raise_before_any_evaluation(self, limits, message):
-        # The texts of bilevel_solve's checks of the same limits.
-        def oracle(p):
-            raise AssertionError("the map was evaluated")
-
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            km_fixed_point(oracle, PriceDomain.orthant(), [1.0], **limits)
-
     def test_zero_iterations_raise_the_limit(self):
         with pytest.raises(IterationLimitError, match="within 0 iterations"):
             km_fixed_point(identity_oracle, PriceDomain.orthant(), [1.0], max_iter=0)
 
 
-def _hybrid_from(oracle, start):
-    return bilevel_solve(oracle, Objective(p0=[1.0, 2.0]), PriceDomain.orthant(), start=start)
+def _hybrid_from(oracle, start, **limits):
+    return bilevel_solve(
+        oracle, Objective(p0=[1.0, 2.0]), PriceDomain.orthant(), start=start, **limits
+    )
 
 
-def _km_from(oracle, start):
-    return km_fixed_point(oracle, PriceDomain.orthant(), start)
+def _km_from(oracle, start, **limits):
+    return km_fixed_point(oracle, PriceDomain.orthant(), start, **limits)
+
+
+_BAD_LIMITS = {
+    "max-iter-negative": ({"max_iter": -5}, "max_iter must be nonnegative"),
+    "max-iter-float": ({"max_iter": 2.5}, "max_iter is not an integer: 2.5"),
+    "max-iter-bool": ({"max_iter": True}, "max_iter is not an integer: True"),
+    "eps-nan": ({"eps": math.nan}, "eps must be finite and nonnegative"),
+    "eps-negative": ({"eps": -1.0}, "eps must be finite and nonnegative"),
+    "eps-inf": ({"eps": math.inf}, "eps must be finite and nonnegative"),
+    "eps-string": ({"eps": "1"}, "eps is not a number: '1'"),
+    "eps-bool": ({"eps": True}, "eps is not a number: True"),
+}
+_BAD_TRACE_EVERY = {
+    "trace-every-negative": ({"trace_vi_every": -3}, "trace_vi_every must be nonnegative"),
+    "trace-every-bool": ({"trace_vi_every": True}, "trace_vi_every is not an integer: True"),
+}
+
+
+@pytest.mark.parametrize(
+    "solve, limits, message",
+    [
+        *(
+            pytest.param(_hybrid_from, *case, id=f"hybrid-{name}")
+            for name, case in {**_BAD_LIMITS, **_BAD_TRACE_EVERY}.items()
+        ),
+        *(pytest.param(_km_from, *case, id=f"km-{name}") for name, case in _BAD_LIMITS.items()),
+    ],
+)
+def test_bad_limits_raise_before_any_evaluation(solve, limits, message):
+    # Both solvers word a bad limit alike, before the map runs.
+    def oracle(p):
+        raise AssertionError("the map was evaluated")
+
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        solve(oracle, [1.0, 2.0], **limits)
 
 
 _BAD_STARTS = {
@@ -419,7 +438,6 @@ class TestObjective:
         obj = Objective(p0=[1.0, 2.0])
         assert obj.beta == 2.0 and obj.L == 2.0
         np.testing.assert_allclose(obj.gradient(np.array([2.0, 2.0])), [2.0, 0.0])
-        assert np.isclose(obj.value(np.array([2.0, 2.0])), 1.0)
 
     def test_weight_scales_moduli_not_minimizer(self):
         obj = Objective(p0=[1.0], weight=0.25)
