@@ -63,8 +63,7 @@ def as_eta(eta, mu_F: float) -> tuple[float, str | None]:
 
     At eta <= 0 the projected step fixes every price, so that is an error.
     """
-    qp.refuse_non_numbers(eta, "eta is not a number")
-    eta = float(eta)
+    eta = qp.as_number(eta, "eta")
     if not math.isfinite(eta):
         raise ValueError("eta must be finite")
     if not eta > 0.0:
@@ -105,23 +104,27 @@ class PriceDomain:
         return cls(kind=BOX, lower=lower, upper=upper)
 
     def project(self, p) -> FloatArray:
-        """Componentwise nearest point in P."""
+        """Componentwise nearest point in P of p's entries, flattened."""
+        qp.refuse_non_numbers(p, "price vector has an entry that is not a number")
         p = np.asarray(p, dtype=float).reshape(-1)
         return self.projector(p.shape[0])(p)
 
     def projector(self, n: int) -> Callable[[FloatArray], FloatArray]:
-        """``project`` without its checks, for 1-D float arrays of length n; bind once."""
+        """``project`` unchecked, for 1-D float arrays of length n (a box checks n); bind once."""
         if self.kind == ORTHANT:
             zero = np.zeros(n)  # the bits of np.maximum(p, 0.0), signed zeros and NaN too
             return lambda p: np.maximum(p, zero)
+        if self.lower.shape[0] != n:
+            raise ValueError("box bounds do not match dimension n")
         return lambda p: np.clip(p, self.lower, self.upper)
 
     def contains(self, p) -> bool:
-        """Whether p lies in P, to 1e-12."""
+        """Whether p, read as ``project`` reads it, lies in P, to 1e-12."""
+        qp.refuse_non_numbers(p, "price vector has an entry that is not a number")
         p = np.asarray(p, dtype=float).reshape(-1)
         if self.kind == ORTHANT:
             return bool(np.all(p >= -1e-12))
-        return bool(np.all(p >= self.lower - 1e-12) and np.all(p <= self.upper + 1e-12))
+        return bool(np.all(abs(self.projector(p.shape[0])(p) - p) <= 1e-12))
 
 
 @dataclass(frozen=True)
@@ -224,11 +227,9 @@ class ModelInstance:
         A = qp.as_floats(self.feasible.A, "A", (None, self.n))  # a row-less A gets n columns
         if A.shape != self.feasible.A.shape:
             object.__setattr__(self, "feasible", FeasibleSet(A=A, b=self.feasible.b))
-        if self.domain.kind == BOX and self.domain.lower.shape[0] != self.n:
-            raise ValueError("box bounds do not match dimension n")
         # Read as the maps read a price, so a bad p0 reads as a bad price there.
         p0, _ = as_price(self.p0, self.n)
-        projected = self.domain.project(p0)
+        projected = self.domain.projector(self.n)(p0)
         projected.flags.writeable = False
         moved = bool(np.max(np.abs(projected - p0), initial=0.0) > 0.0)
         object.__setattr__(self, "p0", projected)

@@ -15,9 +15,9 @@ candidate point, whatever produced it.  A ``QpProblem`` finds once what
 its linear term does not move: its rows ``prepared`` and its cold start
 ``phase1``, ``feasible_point``'s.  ``highs_lp`` is the one linear-program
 entry of the package: HiGHS's dual simplex through scipy's binding,
-without ``linprog``'s per-call input checks.  ``as_floats`` is the one
-reader of the arrays that a program or a model instance is built from: it
-holds the number (``refuse_non_numbers``), shape and finiteness rule.
+without ``linprog``'s per-call input checks.  ``as_floats`` reads every
+array that a program or a model instance is built from, ``as_number`` every
+scalar option; ``refuse_non_numbers`` holds the number rule of both.
 """
 
 from __future__ import annotations
@@ -585,6 +585,14 @@ def as_floats(value, name: str, shape: tuple[int | None, ...]) -> FloatArray:
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} has non-finite entries")
     return arr
+
+
+def as_number(value, name: str) -> float:
+    """``value`` by ``as_floats``' number and shape rule for shape ``()``, as a float; unranged."""
+    refuse_non_numbers(value, f"{name} is not a number")
+    if np.ndim(value):
+        raise ValueError(f"{name} has shape {np.shape(value)}, expected ()")
+    return float(value)
 
 
 def refuse_non_numbers(value, text: str) -> None:

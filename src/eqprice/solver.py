@@ -57,12 +57,12 @@ class Objective:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "p0", qp.as_floats(self.p0, "anchor p0", (None,)))
-        qp.refuse_non_numbers(self.weight, "weight is not a number")
-        if not self.weight > 0.0:
+        weight = qp.as_number(self.weight, "weight")
+        if not weight > 0.0:
             raise ValueError("weight must be positive")
-        if not math.isfinite(self.weight):
+        if not math.isfinite(weight):
             raise ValueError("weight must be finite")
-        object.__setattr__(self, "weight", float(self.weight))
+        object.__setattr__(self, "weight", weight)
 
     @property
     def beta(self) -> float:
@@ -124,8 +124,8 @@ class SolveReport:
         return self.termination is not Termination.ITER_LIMIT
 
 
-def _check_limits(eps: float, max_iter: int, trace_vi_every: int = 0) -> None:
-    qp.refuse_non_numbers(eps, "eps is not a number")
+def _check_limits(eps: float, max_iter: int, trace_vi_every: int = 0) -> float:
+    eps = qp.as_number(eps, "eps")
     if not 0.0 <= eps < math.inf:
         raise ValueError("eps must be finite and nonnegative")
     for name, count in (("max_iter", max_iter), ("trace_vi_every", trace_vi_every)):
@@ -133,6 +133,7 @@ def _check_limits(eps: float, max_iter: int, trace_vi_every: int = 0) -> None:
             raise ValueError(f"{name} is not an integer: {count!r}")
         if count < 0:
             raise ValueError(f"{name} must be nonnegative")
+    return eps
 
 
 def bilevel_solve(
@@ -179,7 +180,7 @@ def bilevel_solve(
         machine precision (the current iterate already minimizes f on P
         and is fixed under T), CONVERGED on the step rule, else ITER_LIMIT.
     """
-    _check_limits(eps, max_iter, trace_vi_every)
+    eps = _check_limits(eps, max_iter, trace_vi_every)
     p0, weight = objective.p0, objective.weight
     project = domain.projector(p0.size)
     p = project(p0 if start is None else qp.as_floats(start, "start", p0.shape))
@@ -247,7 +248,7 @@ def km_fixed_point(
     IterationLimitError if the step residual never drops below eps
     (finite, >= 0) in max_iter (>= 0) steps.
     """
-    _check_limits(eps, max_iter)
+    eps = _check_limits(eps, max_iter)
     start = qp.as_floats(start, "start", (None,))
     p = domain.projector(start.size)(start)
     for _ in range(max_iter):

@@ -140,6 +140,33 @@ class TestProjectPrice:
         box = PriceDomain.box([0.0, 0.0], [2.0, 2.0])
         np.testing.assert_array_equal(box.project([[5.0, -1.0]]), [2.0, 0.0])
 
+    @pytest.mark.parametrize("method", ["project", "contains"])
+    @pytest.mark.parametrize("price", [[0.5], [0.5, 0.5, 0.5]], ids=["short", "long"])
+    def test_box_refuses_another_length(self, method, price):
+        box = PriceDomain.box([0.0, 0.0], [1.0, 1.0])
+        with pytest.raises(ValueError, match="^box bounds do not match dimension n$"):
+            getattr(box, method)(price)
+
+    @pytest.mark.parametrize("method", ["project", "contains"])
+    @pytest.mark.parametrize("kind", ["orthant", "box"])
+    @pytest.mark.parametrize(
+        "price, entry", [([True, "4"], "True"), (["-1", 1.0], "'-1'")], ids=["bool", "string"]
+    )
+    def test_refuses_entries_that_are_not_numbers(self, method, kind, price, entry):
+        dom = PriceDomain.orthant() if kind == "orthant" else PriceDomain.box([0.0, 0.0], [8.0, 8.0])
+        with pytest.raises(ValueError, match=f"^price vector has an entry that is not a number: {entry}$"):
+            getattr(dom, method)(price)
+
+    def test_contains_to_1e_12(self):
+        box = PriceDomain.box([0.0, 0.0], [1.0, 1.0])
+        assert box.contains([1.0 + 5e-13, -5e-13])
+        assert PriceDomain.orthant().contains([-5e-13, np.inf])
+        for dom in (box, PriceDomain.orthant()):
+            for p in ([-2e-12, 0.5], [np.nan, 0.5], [-np.inf, 0.5]):
+                assert not dom.contains(p)
+        for p in ([1.0 + 2e-12, 0.5], [np.inf, 0.5]):
+            assert not box.contains(p)
+
     def test_idempotent_and_nonexpansive(self, rng):
         for dom in (PriceDomain.orthant(), PriceDomain.box([0.0, 0.0], [8.0, 8.0])):
             for _ in range(100):

@@ -416,8 +416,9 @@ class TestSharedRules:
             (-np.inf, "eta must be finite"),
             (True, "eta is not a number: True"),
             ("0.5", "eta is not a number: '0.5'"),
+            (np.array([1.0, 1.0]), "eta has shape (2,), expected ()"),
         ],
-        ids=["zero", "negative", "nan", "inf", "minus-inf", "bool", "string"],
+        ids=["zero", "negative", "nan", "inf", "minus-inf", "bool", "string", "array"],
     )
     def test_eta_error_reads_the_same(self, eta, message):
         # The number rule comes first, then finiteness, so NaN and -inf are

@@ -374,6 +374,7 @@ _BAD_LIMITS = {
     "eps-inf": ({"eps": math.inf}, "eps must be finite and nonnegative"),
     "eps-string": ({"eps": "1"}, "eps is not a number: '1'"),
     "eps-bool": ({"eps": True}, "eps is not a number: True"),
+    "eps-array": ({"eps": np.array([1e-4, 1e-4])}, r"eps has shape \(2,\), expected \(\)"),
 }
 _BAD_TRACE_EVERY = {
     "trace-every-negative": ({"trace_vi_every": -3}, "trace_vi_every must be nonnegative"),
@@ -398,6 +399,55 @@ def test_bad_limits_raise_before_any_evaluation(solve, limits, message):
 
     with pytest.raises(ValueError, match=f"^{message}$"):
         solve(oracle, [1.0, 2.0], **limits)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize(
+    "solve",
+    [
+        pytest.param(lambda oracle, box, p: bilevel_solve(oracle, Objective(p0=p), box), id="hybrid"),
+        pytest.param(lambda oracle, box, p: km_fixed_point(oracle, box, p), id="km"),
+    ],
+)
+def test_mismatched_box_raises_before_any_evaluation(solve, n):
+    # The anchor (hybrid) or the start (km) has n entries, the box two.
+    calls = []
+
+    def oracle(p):
+        calls.append(p)
+        return p
+
+    box = PriceDomain.box([0.0, 0.0], [10.0, 10.0])
+    with pytest.raises(ValueError, match="^box bounds do not match dimension n$"):
+        solve(oracle, box, np.full(n, 5.0))
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "given, plain",
+    [
+        pytest.param({"eps": np.array(1e-4)}, {"eps": 1e-4}, id="eps-0-d"),
+        pytest.param({"eps": np.float32(1e-4)}, {"eps": float(np.float32(1e-4))}, id="eps-float32"),
+        pytest.param({"weight": np.array(0.25)}, {"weight": 0.25}, id="weight-0-d"),
+    ],
+)
+def test_numpy_scalars_solve_as_plain_floats(given, plain):
+    inst = make_combined_1d(p0=7.0)
+
+    def hybrid(eps=1e-4, weight=1.0):
+        objective = Objective(p0=inst.p0, weight=weight)
+        return bilevel_solve(ExcessEvaluator(inst).map_oracle(), objective, inst.domain, eps=eps)
+
+    report, expected = hybrid(**given), hybrid(**plain)
+    assert report.termination is expected.termination
+    assert trace_csv_rows(report.trace) == trace_csv_rows(expected.trace)
+    assert report.solution.tobytes() == expected.solution.tobytes()
+    if "eps" in given:
+        km = [
+            km_fixed_point(ExcessEvaluator(inst).map_oracle(), inst.domain, [7.0], **limits)
+            for limits in (given, plain)
+        ]
+        assert km[0].tobytes() == km[1].tobytes()
 
 
 _BAD_STARTS = {
@@ -450,8 +500,9 @@ class TestObjective:
             (0.0, "weight must be positive"),
             (True, "weight is not a number: True"),
             ("0.5", "weight is not a number: '0.5'"),
+            (np.array([0.5, 0.5]), r"weight has shape \(2,\), expected \(\)"),
         ],
-        ids=["zero", "bool", "string"],
+        ids=["zero", "bool", "string", "array"],
     )
     def test_rejects_nonpositive_weight(self, weight, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
