@@ -3,7 +3,9 @@
 Exit codes: 0 on convergence (or exact fixed point), 1 on input errors
 (with a diagnostic naming the violated invariant or key) and failed inner
 solves or draws, 2 when an iteration limit was hit.  ``main`` prints every
-error and warning, as ``error: ...`` and ``warning: Code: ...`` on stderr.
+error and warning, as ``error: ...`` and ``warning: Category: ...`` on
+stderr; each warning is a category issued by ``warnings.warn``
+(``model.P0Projected``, ``maps.EtaOutOfRange``).
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .model import (
     ORTHANT,
     InstanceFormatError,
     ModelInstance,
+    P0Projected,
     load_instance,
     validate_instance,
 )
@@ -119,27 +122,23 @@ def _print_warning(message, category, *_) -> None:
     print(f"warning: {category.__name__}: {message}", file=sys.stderr)
 
 
-def _load_and_validate(path: str, skip: tuple[str, ...] = ()) -> ModelInstance:
-    """Load and validate; findings whose code is in ``skip`` are dropped."""
+def _load_and_validate(path: str) -> ModelInstance:
+    """Load and validate, raising on errors; warn when p0 was projected."""
     instance = load_instance(path)
-    report = [issue for issue in validate_instance(instance) if issue.code not in skip]
-    errors = [issue for issue in report if issue.severity == "error"]
-    if errors:
+    if errors := validate_instance(instance):
         raise InstanceFormatError("; ".join(map(str, errors)))
-    for issue in report:
-        if issue.severity == "warning":
-            print(f"warning: {issue}", file=sys.stderr)
+    if instance.p0_projected:
+        warnings.warn("p0 was outside the price domain and has been projected", P0Projected)
     return instance
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
     """Handler of ``solve`` (report JSON, optional trace) and ``trace`` (trace CSV)."""
-    # An explicit --eta replaces the file's step; the map checks its range.
-    skip = ("EtaOutOfRange",) if args.eta is not None else ()
-    instance = _load_and_validate(args.instance, skip)
+    instance = _load_and_validate(args.instance)
     _check_schedule(args.schedule)
     _check_outputs(args, "out", "trace", "csv")
-    # Building the oracle and the objective checks --eta and --weight.
+    # Building the oracle checks the step it uses (--eta, else the file's),
+    # and building the objective checks --weight.
     report = _solve_instance(
         instance, args.eps, args.max_iter, args.eta, args.weight, args.trace_every
     )
@@ -361,7 +360,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         with warnings.catch_warnings():
-            warnings.showwarning = _print_warning  # as 'warning: Code: text'
+            warnings.showwarning = _print_warning  # as 'warning: Category: text'
             return args.func(args)
     except (ValueError, OSError, InnerSolveFailed, GenerationFailed) as exc:
         print(f"error: {exc}", file=sys.stderr)

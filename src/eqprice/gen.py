@@ -136,7 +136,7 @@ def generate(config: GenConfig) -> GeneratedInstance:
     """Draw until a valid instance appears (at most 100 attempts).
 
     An attempt is retried, with fresh streams, when a factor misses the
-    eigenvalue floor in 500 draws or ``data_issues`` reports anything.
+    eigenvalue floor in 500 draws or ``data_issues`` reports an error.
     The demand phase-1 LP of ``validate_instance`` is not needed: with
     b >= 0 and M > 0 the maximizer of the utility LP reaches
     l'x = M / floor_fraction > M.

@@ -324,9 +324,9 @@ class ExcessEvaluator:
     # -- derived maps ------------------------------------------------------
 
     def _eta(self, eta: float | None) -> float:
-        if eta is None:
-            return self.instance.constants.eta
-        eta, text = as_eta(eta, self.instance.constants.mu_F)
+        """The step to use, the instance's or ``eta``; warns when it is above 2 mu_F."""
+        c = self.instance.constants
+        eta, text = as_eta(c.eta if eta is None else eta, c.mu_F)
         if text is not None:
             warnings.warn(text, EtaOutOfRange, stacklevel=3)
         return eta

@@ -40,6 +40,10 @@ class InstanceFormatError(ValueError):
     """An instance document is malformed; the message names the offender."""
 
 
+class P0Projected(UserWarning):
+    """p0 lay outside the price domain; the instance holds its projection."""
+
+
 def as_price(values, n: int) -> tuple[FloatArray, float]:
     """The price as a 1-D float array of length n, and its max|p|.
 
@@ -71,6 +75,16 @@ def as_eta(eta, mu_F: float) -> tuple[float, str | None]:
     if eta <= 2.0 * mu_F + 1e-12:
         return eta, None
     return eta, f"eta = {eta:g} outside (0, {2.0 * mu_F:g}]"
+
+
+def _entries(p) -> FloatArray:
+    """p's entries as a flat float array, by ``qp.as_floats``' number rule."""
+    text = "price vector has an entry that is not a number"
+    qp.refuse_non_numbers(p, text)
+    try:
+        return np.asarray(p, dtype=float).reshape(-1)
+    except OverflowError as exc:  # an int past the float range
+        raise ValueError(f"{text}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -105,8 +119,7 @@ class PriceDomain:
 
     def project(self, p) -> FloatArray:
         """Componentwise nearest point in P of p's entries, flattened."""
-        qp.refuse_non_numbers(p, "price vector has an entry that is not a number")
-        p = np.asarray(p, dtype=float).reshape(-1)
+        p = _entries(p)
         return self.projector(p.shape[0])(p)
 
     def projector(self, n: int) -> Callable[[FloatArray], FloatArray]:
@@ -120,8 +133,7 @@ class PriceDomain:
 
     def contains(self, p) -> bool:
         """Whether p, read as ``project`` reads it, lies in P, to 1e-12."""
-        qp.refuse_non_numbers(p, "price vector has an entry that is not a number")
-        p = np.asarray(p, dtype=float).reshape(-1)
+        p = _entries(p)
         if self.kind == ORTHANT:
             return bool(np.all(p >= -1e-12))
         return bool(np.all(abs(self.projector(p.shape[0])(p) - p) <= 1e-12))
@@ -277,47 +289,31 @@ class ModelInstance:
 class ValidationIssue:
     code: str
     message: str
-    severity: str = "error"
 
     def __str__(self) -> str:
         return f"{self.code}: {self.message}"
 
 
 def data_issues(instance: ModelInstance) -> list[ValidationIssue]:
-    """The findings a built instance can have that need no solve.
+    """The errors a built instance can have that need no solve.
 
     ``build`` already rejects asymmetric and non-positive-definite cost
     forms and a step that is not finite and positive, and derives the
-    constants, so what is left is M > 0, b >= 0 (x = 0 in X, so X is
-    nonempty), eta at most 2 mu_F and whether p0 had to be projected into
-    the domain; the last two are warnings.
+    constants, so what is left is M > 0 and b >= 0 (x = 0 in X, so X is
+    nonempty).  The warnings live elsewhere: the maps check the step they
+    use against 2 mu_F, and ``p0_projected`` records a projected p0.
     """
-    issues = []
-    costs, c = instance.costs, instance.constants
-    if not costs.M > 0.0:
-        issues.append(ValidationIssue("NonpositiveFloor", f"M = {costs.M:g} must be positive"))
+    issues, M = [], instance.costs.M
+    if not M > 0.0:
+        issues.append(ValidationIssue("NonpositiveFloor", f"M = {M:g} must be positive"))
     if (instance.feasible.b < 0.0).any():
-        issues.append(
-            ValidationIssue(
-                "EmptyFeasibleSet", "b has negative entries, so x = 0 violates Ax <= b"
-            )
-        )
-    _, eta_text = as_eta(c.eta, c.mu_F)
-    if eta_text is not None:
-        issues.append(ValidationIssue("EtaOutOfRange", eta_text, severity="warning"))
-    if instance.p0_projected:
-        issues.append(
-            ValidationIssue(
-                "P0Projected",
-                "p0 was outside the price domain and has been projected",
-                severity="warning",
-            )
-        )
+        text = "b has negative entries, so x = 0 violates Ax <= b"
+        issues.append(ValidationIssue("EmptyFeasibleSet", text))
     return issues
 
 
 def validate_instance(instance: ModelInstance) -> list[ValidationIssue]:
-    """Report violated invariants; an empty list means the instance is sound.
+    """Report the errors of an instance; an empty list means it is sound.
 
     ``data_issues`` plus nonemptiness of the demand set {x in X : l'x >= M}
     by ``demand_program.phase1``, which runs only when b >= 0; the demand

@@ -592,7 +592,10 @@ def as_number(value, name: str) -> float:
     refuse_non_numbers(value, f"{name} is not a number")
     if np.ndim(value):
         raise ValueError(f"{name} has shape {np.shape(value)}, expected ()")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:  # an int past the float range
+        raise ValueError(f"{name} is not a number: {exc}") from exc
 
 
 def refuse_non_numbers(value, text: str) -> None:

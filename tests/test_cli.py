@@ -245,6 +245,33 @@ class TestSolveCommand:
         assert main(["solve", str(path), "--eta", eta, *limit, "--out", str(out)]) == code
         assert capsys.readouterr().err == stderr
 
+    @pytest.mark.parametrize(
+        "options, code, last_line",
+        [
+            (["--max-iter", "20"], 2, "warning: EtaOutOfRange: eta = 50 outside (0, 2]\n"),
+            (
+                ["--out", "missing/report.json"],
+                1,
+                "error: --out: directory missing does not exist\n",
+            ),
+        ],
+        ids=["both-warnings", "warning-then-error"],
+    )
+    def test_projected_p0_is_warned_first(self, tmp_path, monkeypatch, capsys, options, code, last_line):
+        # Validation warns about p0 as it loads the file; the step is checked
+        # when the map is built, after the output checks, so an error there
+        # stops the run before the step's warning.
+        doc = {"n": 1, "m": 1, "C": [[1.0]], "B": [[1.0]], "l": [1.0], "M": 2.0, "A": [[1.0]],
+               "b": [10.0], "domain": {"kind": "orthant"}, "p0": [-3.0], "eta": 50}
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(doc))
+        monkeypatch.chdir(tmp_path)
+        assert main(["solve", str(path), *options]) == code
+        assert capsys.readouterr().err == (
+            "warning: P0Projected: p0 was outside the price domain and has been projected\n"
+            + last_line
+        )
+
 
     # Each of these inputs once ended in a Python traceback; now each prints
     # one error line and exits 1, from solve and from trace alike.

@@ -150,7 +150,13 @@ class TestProjectPrice:
     @pytest.mark.parametrize("method", ["project", "contains"])
     @pytest.mark.parametrize("kind", ["orthant", "box"])
     @pytest.mark.parametrize(
-        "price, entry", [([True, "4"], "True"), (["-1", 1.0], "'-1'")], ids=["bool", "string"]
+        "price, entry",
+        [
+            ([True, "4"], "True"),
+            (["-1", 1.0], "'-1'"),
+            ([10**400, 1.0], "int too large to convert to float"),
+        ],
+        ids=["bool", "string", "huge-int"],
     )
     def test_refuses_entries_that_are_not_numbers(self, method, kind, price, entry):
         dom = PriceDomain.orthant() if kind == "orthant" else PriceDomain.box([0.0, 0.0], [8.0, 8.0])
@@ -194,6 +200,14 @@ class TestNatMap:
     def test_warns_outside_admissible_step(self, combined_1d):
         with pytest.warns(EtaOutOfRange, match=r"^eta = 5 outside \(0, 2\]$"):
             ExcessEvaluator(combined_1d).nat_map([2.0], eta=5.0)
+
+    @pytest.mark.parametrize("method", ["nat_map", "vi_residual"])
+    def test_warns_for_the_instances_own_step(self, combined_1d, method):
+        # Without an eta argument the instance's step is used, and checked.
+        c = combined_1d
+        inst = ModelInstance.build(c.costs, c.feasible, c.domain, c.p0, eta=5.0)
+        with pytest.warns(EtaOutOfRange, match=r"^eta = 5 outside \(0, 2\]$"):
+            getattr(ExcessEvaluator(inst), method)([2.0])
 
     @pytest.mark.parametrize("eta", [0.0, -1.0], ids=["zero", "negative"])
     @pytest.mark.parametrize(
@@ -1035,7 +1049,7 @@ class TestEvaluatorFootprint:
     def test_rows_and_cold_starts_are_found_once_per_instance(self, monkeypatch):
         inst = self.instance()
         calls = count_calls(monkeypatch, "inequality_rows", "highs_lp")
-        assert not [issue for issue in validate_instance(inst) if issue.severity == "error"]
+        assert validate_instance(inst) == []
         for _ in range(2):
             ExcessEvaluator(inst).evaluate(inst.p0)
         # The supply and the demand rows, and the demand program's phase-1 LP

@@ -21,7 +21,6 @@ from eqprice.model import (
     PriceDomain,
     ValidationIssue,
     compute_constants,
-    data_issues,
     instance_from_json,
     instance_to_json,
     load_instance,
@@ -140,9 +139,8 @@ class TestValidateInstance:
         inst = ModelInstance.build(
             costs_1d(), FeasibleSet(A=[[1.0]], b=[1.0]), PriceDomain.orthant(), [4.0]
         )
-        report = validate_instance(inst)
-        assert any(issue.code == "DemandInfeasible" for issue in report)
-        assert any(i.severity == "error" for i in report)
+        # validate_instance reports errors only, so a finding is one.
+        assert [issue.code for issue in validate_instance(inst)] == ["DemandInfeasible"]
 
     def test_empty_feasible_set_reported(self):
         inst = ModelInstance.build(
@@ -155,11 +153,10 @@ class TestValidateInstance:
         inst = ModelInstance.build(
             costs_1d(), FeasibleSet(A=[[1.0]], b=[10.0]), PriceDomain.orthant(), [-5.0]
         )
+        # The instance records the projection; validation reports errors only.
         assert inst.p0_projected
         np.testing.assert_allclose(inst.p0, [0.0])
-        report = validate_instance(inst)
-        assert any(issue.code == "P0Projected" for issue in report)
-        assert not any(i.severity == "error" for i in report)
+        assert validate_instance(inst) == []
 
     def test_dimensions_are_read_from_the_data(self, combined_1d):
         inst = combined_1d
@@ -396,15 +393,19 @@ class TestSharedRules:
         ids=["2mu", "2mu+1e-13", "2mu+1e-11", "10mu"],
     )
     def test_eta_range_reads_the_same(self, eta_of_mu, warns):
+        # The instance's own step and an argument are checked alike.
         base = make_combined_1d()
         eta = eta_of_mu(base.constants.mu_F)
         inst = ModelInstance.build(base.costs, base.feasible, base.domain, base.p0, eta=eta)
-        issues = [issue.message for issue in data_issues(inst) if issue.code == "EtaOutOfRange"]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            maps.ExcessEvaluator(base).map_oracle(eta=eta)
-        assert [str(w.message) for w in caught] == issues
-        assert len(issues) == warns
+        texts = []
+        for instance, argument in ((inst, None), (base, eta)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                maps.ExcessEvaluator(instance).map_oracle(eta=argument)
+            assert {w.category for w in caught} <= {maps.EtaOutOfRange}
+            texts.append([str(w.message) for w in caught])
+        assert texts[0] == texts[1]
+        assert len(texts[0]) == warns
 
     @pytest.mark.parametrize(
         "eta, message",
@@ -417,8 +418,9 @@ class TestSharedRules:
             (True, "eta is not a number: True"),
             ("0.5", "eta is not a number: '0.5'"),
             (np.array([1.0, 1.0]), "eta has shape (2,), expected ()"),
+            (10**400, "eta is not a number: int too large to convert to float"),
         ],
-        ids=["zero", "negative", "nan", "inf", "minus-inf", "bool", "string", "array"],
+        ids=["zero", "negative", "nan", "inf", "minus-inf", "bool", "string", "array", "huge-int"],
     )
     def test_eta_error_reads_the_same(self, eta, message):
         # The number rule comes first, then finiteness, so NaN and -inf are

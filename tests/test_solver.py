@@ -375,6 +375,7 @@ _BAD_LIMITS = {
     "eps-string": ({"eps": "1"}, "eps is not a number: '1'"),
     "eps-bool": ({"eps": True}, "eps is not a number: True"),
     "eps-array": ({"eps": np.array([1e-4, 1e-4])}, r"eps has shape \(2,\), expected \(\)"),
+    "eps-huge-int": ({"eps": 10**400}, "eps is not a number: int too large to convert to float"),
 }
 _BAD_TRACE_EVERY = {
     "trace-every-negative": ({"trace_vi_every": -3}, "trace_vi_every must be nonnegative"),
@@ -501,8 +502,9 @@ class TestObjective:
             (True, "weight is not a number: True"),
             ("0.5", "weight is not a number: '0.5'"),
             (np.array([0.5, 0.5]), r"weight has shape \(2,\), expected \(\)"),
+            (10**400, "weight is not a number: int too large to convert to float"),
         ],
-        ids=["zero", "bool", "string", "array"],
+        ids=["zero", "bool", "string", "array", "huge-int"],
     )
     def test_rejects_nonpositive_weight(self, weight, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
