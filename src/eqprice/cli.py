@@ -5,7 +5,8 @@ Exit codes: 0 on convergence (or exact fixed point), 1 on input errors
 solves or draws, 2 when an iteration limit was hit.  ``main`` prints every
 error and warning, as ``error: ...`` and ``warning: Category: ...`` on
 stderr; each warning is a category issued by ``warnings.warn``
-(``model.P0Projected``, ``maps.EtaOutOfRange``).
+(``model.P0Projected``, ``maps.EtaOutOfRange``), and one that a warnings
+filter raises (``-W error``) is an error.
 """
 
 from __future__ import annotations
@@ -362,7 +363,7 @@ def main(argv: list[str] | None = None) -> int:
         with warnings.catch_warnings():
             warnings.showwarning = _print_warning  # as 'warning: Category: text'
             return args.func(args)
-    except (ValueError, OSError, InnerSolveFailed, GenerationFailed) as exc:
+    except (ValueError, OSError, Warning, InnerSolveFailed, GenerationFailed) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

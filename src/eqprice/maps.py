@@ -16,9 +16,10 @@ their read-only rows ``prepared = (H, G, h)`` and cold starts ``phase1``,
 which all of its evaluators share.  While a basis stays optimal the
 minimizer is affine in p (the critical region of a parametric QP), so the
 cached piece answers directly once it passes one KKT certificate (inverted
-lazily behind a cheap screen; stationarity proven once per basis, the sign
-and row tests once per ball of prices).  Use one evaluator per solver run;
-instances themselves are immutable and shareable.
+lazily behind a cheap screen; stationarity proven once per basis from its
+floor on, the sign and row tests once per ball of prices).  Below the floor
+the active-set solver answers.  Use one evaluator per solver run; instances
+themselves are immutable and shareable.
 """
 
 from __future__ import annotations
@@ -43,11 +44,12 @@ _max, _min = qp._max, qp._min
 
 
 def _stationarity_floor(H: FloatArray, basis) -> float:
-    """The least max|c| from which ``_try_basis``'s stationarity test passes on
-    ``_invert``'s piece ``basis`` at every c, whatever the rounding; else +inf.
+    """The least max|c| from which ``_invert``'s piece ``basis`` is stationary
+    to CERTIFY_TOL (1 + max|c|) at every c, whatever the rounding; else +inf.
     In Higham's (2002, section 3.1) rounding model, for any summation order,
-    stat <= a + b max|c|, and from the floor on that is at most tau (1 +
-    max|c|), half the test's least bound.  README derives a and b."""
+    the computed ||H x + c + G_w' lam|| <= a + b max|c|, and from the floor
+    on that is at most tau (1 + max|c|), half that bound.  README derives a
+    and b."""
     K_x, c_x, K_l, c_l, GwT = basis
     top, K, c0 = np.hstack((H, GwT)), np.vstack((K_x, K_l)), np.concatenate((c_x, c_l))
     ku = (2 * top.shape[1] + 3) * 2.0**-53  # k u, k = 2 (n + w) + 3 roundings
@@ -117,7 +119,7 @@ class _InnerMap:
     rows and inverted at the first price whose solve of it passes
     ``_screen``.  While that basis stays optimal, a new price costs a few
     small matrix-vector products plus one certificate check, and none while
-    the steps since the last certified hit stay within its ``_recenter``.
+    the steps since the last checked hit stay within its ``_recenter``.
     """
 
     def __init__(self, kind: str, problem: qp.QpProblem):
@@ -134,8 +136,7 @@ class _InnerMap:
         self._budget = -math.inf  # the last _recenter's radius, less the steps since
         self.solves = 0
         self.fast_hits = 0
-        self.certified = 0  # fast hits whose stationarity the floor proved
-        self.trusted = 0  # certified hits whose other tests the budget proved
+        self.trusted = 0  # fast hits whose sign and row tests the budget proved
         self.iterations = 0
         self.inversions = 0
 
@@ -179,23 +180,23 @@ class _InnerMap:
         self._floor = _stationarity_floor(self.H, self._basis)
         self._rates = _trust_rates(self.G, self.h, self.hscale, self._basis)
 
-    def _try_basis(self, c: FloatArray, neg_c: FloatArray, cmax: float, step: float):
-        """The cached affine piece at linear term c, if it is certified optimal.
+    def _try_basis(self, neg_c: FloatArray, cmax: float, step: float):
+        """The cached affine piece at linear term -neg_c, if it is certified optimal.
 
-        Certificate: nonnegative multipliers, primal feasibility, and the
-        KKT residual ``max(viol, stat)`` within ``CERTIFY_TOL`` times
-        ``qp.residual_scale``, the scale on which an optimal active-set
-        solve meets ``qp.DEFAULT_TOL``, so either way the point returned is
-        certified to ``CERTIFY_TOL``.  From the piece's stationarity floor
-        on, viol is the only residual tested, and within the budget none is.
-        Each test fails on NaN, as a non-finite price can make the piece NaN.
+        Certificate: max|c| from the piece's stationarity floor on, which
+        proves stationarity to CERTIFY_TOL (1 + max|c|), nonnegative
+        multipliers, and a row violation within that bound, the least value
+        of the scale on which an optimal active-set solve meets
+        ``qp.DEFAULT_TOL``; either way the point is certified to CERTIFY_TOL.
+        Below the floor, or with none, the solver answers; within the budget
+        no test runs.  Each test fails on NaN, as a non-finite price can make
+        the piece NaN.
         """
         if cmax > PIECE_PMAX:
             self._budget = -math.inf
             return None
         self._budget = self._budget * (1.0 - 2.0**-30) - step  # the shrink outweighs rounding
         if self._budget >= 0.0 and self._floor <= cmax:
-            self.certified += 1
             self.trusted += 1
             return self._basis[0].dot(neg_c) + self._basis[1]
         self._budget = -math.inf
@@ -203,34 +204,25 @@ class _InnerMap:
             if not self._screen(neg_c, system := self._pending_system()):
                 return None
             self._invert(system)
-        if self._basis is None:
+        if self._basis is None or not self._floor <= cmax:
             return None
         # The bench iteration counts must not drift, so every operation here
         # keeps its order and operands.  Products are .dot (the BLAS call of
         # @), bit for bit; K_x and K_l stay two products, as one stacked
-        # product rounds differently (np.linalg.norm of 1-D v is
-        # sqrt(v.dot(v))).  _max/_min return the reduced entry itself; they
-        # may differ from np.max/np.min only in the sign of a zero, and each
-        # result here is either taken of abs values or only compared.
-        K_x, c_x, K_l, c_l, GwT = self._basis
+        # product rounds differently.  _max/_min return the reduced entry
+        # itself; they may differ from np.max/np.min only in the sign of a
+        # zero, and each result here is either taken of abs values or only
+        # compared.
+        K_x, c_x, K_l, c_l, _ = self._basis
         x = K_x.dot(neg_c) + c_x
         lam = K_l.dot(neg_c) + c_l
         if lam.size and not _min(lam) >= -1e-9:
             return None
         r = self.G.dot(x) - self.h
         viol = max(_max(r), 0.0)
-        if not viol <= 1e-9 * self.hscale:
+        if not (viol <= 1e-9 * self.hscale and viol <= CERTIFY_TOL * (1.0 + cmax)):
             return None
-        if self._floor <= cmax and viol <= CERTIFY_TOL * (1.0 + cmax):
-            self.certified += 1
-            self._recenter(lam, r, cmax)
-            return x
-        hx = self.H.dot(x)
-        r = hx + c + GwT.dot(lam)
-        stat = math.sqrt(r.dot(r))
-        bound = CERTIFY_TOL * qp.residual_scale(cmax, hx)
-        if not (viol <= bound and stat <= bound):
-            return None
+        self._recenter(lam, r, cmax)
         return x
 
     def _recenter(self, lam: FloatArray, r: FloatArray, cmax: float) -> None:
@@ -251,7 +243,7 @@ class _InnerMap:
         both once per price for the two inner programs, and ``step``, at least
         (1 - 2^-53) max|c - c'| for the last c' this map answered (or inf).
         """
-        x = self._try_basis(c, neg_c, cmax, step)
+        x = self._try_basis(neg_c, cmax, step)
         if x is not None:
             self.fast_hits += 1
             self.last_x = x
@@ -368,10 +360,6 @@ class ExcessEvaluator:
     @property
     def basis_inversions(self) -> int:
         return self._supply.inversions + self._demand.inversions
-
-    @property
-    def certified_hits(self) -> int:
-        return self._supply.certified + self._demand.certified
 
     @property
     def trusted_hits(self) -> int:

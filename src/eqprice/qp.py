@@ -547,7 +547,7 @@ def _colwise(A: FloatArray) -> tuple[npt.NDArray[np.intp], npt.NDArray[np.intp],
 
 def residual_scale(cmax: float, hx: FloatArray) -> float:
     """``1 + max|c| + max|Hx|`` from ``cmax = max|c|`` and ``hx = Hx``: the scale
-    of the KKT residual, for an optimal solve and a cached piece alike."""
+    on which an optimal solve's KKT residual meets ``DEFAULT_TOL``."""
     return 1.0 + cmax + _max(abs(hx))
 
 

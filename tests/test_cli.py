@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -271,6 +272,27 @@ class TestSolveCommand:
             "warning: P0Projected: p0 was outside the price domain and has been projected\n"
             + last_line
         )
+
+    @pytest.mark.parametrize(
+        "p0, stderr",
+        [
+            (-3.0, "error: p0 was outside the price domain and has been projected\n"),
+            (1.0, "error: eta = 50 outside (0, 2]\n"),
+        ],
+        ids=["p0-projected", "eta-out-of-range"],
+    )
+    def test_warning_raised_by_a_filter_is_one_error_line(self, tmp_path, capsys, p0, stderr):
+        # As under python -W error: the first warning is raised, and main
+        # prints it as any other refusal.
+        doc = {"n": 1, "m": 1, "C": [[1.0]], "B": [[1.0]], "l": [1.0], "M": 2.0, "A": [[1.0]],
+               "b": [10.0], "domain": {"kind": "orthant"}, "p0": [p0], "eta": 50}
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["solve", str(path), "--max-iter", "0"])
+        err = capsys.readouterr().err
+        assert code == 1 and err == stderr and "Traceback" not in err
 
 
     # Each of these inputs once ended in a Python traceback; now each prints

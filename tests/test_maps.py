@@ -513,7 +513,7 @@ class TestEvaluatorCaching:
                     if inner._pending is not None:
                         forced = copy.copy(inner)
                         forced._invert()
-                        exact = forced._try_basis(c, -c, pmax, math.inf) is not None
+                        exact = forced._try_basis(-c, pmax, math.inf) is not None
                         verdicts[copy.copy(inner)._screen(-c), exact] += 1
                 ev.evaluate(p)
                 if step % 3 == 2:
@@ -639,8 +639,10 @@ class TestEvaluatorCaching:
 
 
 def per_price_test(inner, c, neg_c, cmax) -> tuple[float, float, float]:
-    """``viol``, ``stat`` and ``bound`` of ``_try_basis``'s test of the cached
-    piece at c, each computed with the operations and operands it uses."""
+    """``viol``, ``stat`` and ``bound`` of the full KKT test of the cached
+    piece at c, on the active-set solver's scale ``qp.residual_scale``: the
+    reference that the piece's stationarity floor stands in for.  x and lam
+    are formed with ``_try_basis``'s operations and operands."""
     K_x, c_x, K_l, c_l, GwT = inner._basis
     x = K_x.dot(neg_c) + c_x
     lam = K_l.dot(neg_c) + c_l
@@ -651,8 +653,8 @@ def per_price_test(inner, c, neg_c, cmax) -> tuple[float, float, float]:
 
 
 def sign_and_row_tests_pass(inner, c, neg_c, cmax) -> bool:
-    """Whether the cached piece at c passes ``_try_basis``'s sign and row
-    tests and takes its certified branch, each run as it runs them."""
+    """Whether the cached piece at c passes ``_try_basis``'s floor, sign and
+    row tests, each run as it runs them."""
     K_l, c_l = inner._basis[2:4]
     lam = K_l.dot(neg_c) + c_l
     viol, _, _ = per_price_test(inner, c, neg_c, cmax)
@@ -666,18 +668,18 @@ def sign_and_row_tests_pass(inner, c, neg_c, cmax) -> bool:
 
 @contextlib.contextmanager
 def skipped_tests_run_anyway():
-    """Yield two lists.  The first gets, for every fast hit whose
-    stationarity test the piece's floor skipped, that test's
-    ``max(viol, stat) / bound``; a skip is sound when each is <= 1.  The
-    second gets, for every trusted hit, whose sign and row tests the
-    budget skipped as well, whether those tests pass when run anyway."""
+    """Yield two lists.  The first gets, for every fast hit, the
+    ``max(viol, stat) / bound`` of ``per_price_test``, which the piece's
+    floor skipped; a skip is sound when each is <= 1.  The second gets, for
+    every trusted hit, whose sign and row tests the budget skipped as well,
+    whether those tests pass when run anyway."""
     ratios, trusted = [], []
     real = maps._InnerMap._try_basis
 
-    def checked(inner, c, neg_c, cmax, step):
-        before, trusted_before = inner.certified, inner.trusted
-        x = real(inner, c, neg_c, cmax, step)
-        if inner.certified > before:
+    def checked(inner, neg_c, cmax, step):
+        c, trusted_before = -neg_c, inner.trusted
+        x = real(inner, neg_c, cmax, step)
+        if x is not None:
             viol, stat, bound = per_price_test(inner, c, neg_c, cmax)
             ratios.append(max(viol, stat) / bound)
         if inner.trusted > trusted_before:
@@ -719,8 +721,8 @@ def nearby_and_scattered(rng, start, count: int, scale: float):
 
 
 class TestStationarityFloor:
-    """A certified hit skips the per-price stationarity test only where
-    that test, run anyway, passes."""
+    """A fast hit skips the per-price stationarity test only where that
+    test, run anyway, passes."""
 
     PROGRAMS = dict(
         seed=st.integers(0, 2**32 - 1),
@@ -756,7 +758,7 @@ class TestStationarityFloor:
                 except InnerSolveFailed:
                     continue
                 last = c if walk else None
-        assert len(ratios) == inner.certified and len(trusted) == inner.trusted
+        assert len(ratios) == inner.fast_hits and len(trusted) == inner.trusted
         assert all(ratio <= 1.0 for ratio in ratios), max(ratios)
         assert all(trusted) and (walk or not trusted)
 
@@ -769,7 +771,7 @@ class TestStationarityFloor:
         with skipped_tests_run_anyway() as (ratios, trusted):
             for p in nearby_and_scattered(rng, inst.p0 + 1.0, 30, 100.0):
                 ev.evaluate(np.abs(p))
-        assert len(ratios) == ev.certified_hits <= ev.fast_hits
+        assert len(ratios) == ev.fast_hits
         assert len(trusted) == ev.trusted_hits and all(trusted)
         assert all(ratio <= 1.0 for ratio in ratios), max(ratios)
 
@@ -807,10 +809,10 @@ class TestStationarityFloor:
     @pytest.mark.bits
     def test_protocol_solves_skip_only_passing_tests(self):
         # The 40 solves of the bench protocol at seed 42, as eqprice bench
-        # runs them; every fast hit there is a certified one, and most
-        # certified hits are trusted.  The counts are those of one BLAS
-        # thread and of two.
-        hits = certified = 0
+        # runs them; the reference test runs at every fast hit, and most
+        # fast hits are trusted.  The counts are those of one BLAS thread
+        # and of two.
+        hits = trusted_hits = 0
         with skipped_tests_run_anyway() as (ratios, trusted):
             for trial in range(10):
                 for n, m in ((5, 3), (10, 8), (30, 20), (50, 30)):
@@ -826,9 +828,8 @@ class TestStationarityFloor:
                         trace_vi_every=10,
                     )
                     assert report.termination is Termination.CONVERGED
-                    hits, certified = hits + ev.fast_hits, certified + ev.certified_hits
-        assert (hits, certified, len(trusted)) == (91_854, 91_854, 73_429)
-        assert len(ratios) == certified
+                    hits, trusted_hits = hits + ev.fast_hits, trusted_hits + ev.trusted_hits
+        assert (hits, len(ratios), trusted_hits, len(trusted)) == (91_854, 91_854, 73_429, 73_429)
         assert all(ratio <= 1.0 for ratio in ratios), max(ratios)
         assert all(trusted)
 
@@ -836,19 +837,21 @@ class TestStationarityFloor:
         # Supply is p / 2 near p = 4, on the piece with an empty working set.
         # Shifting c_x by 2.6e-7 puts a residual of 5.2e-7 in every price,
         # which is certified only from max|p| of about 100 on.  Below that
-        # floor the per-price test runs, and rejects the piece at 4.5.
+        # floor the piece does not answer, and the reference test agrees
+        # that it must not at 4.5.
         ev = ExcessEvaluator(combined_1d)
         ev.evaluate([4.0])
         ev.evaluate([4.0])
         inner = ev._supply
-        assert inner._floor == 0.0 and (ev.fast_hits, ev.certified_hits) == (2, 2)
+        assert inner._floor == 0.0 and ev.fast_hits == 2
         K_x, c_x, *rest = inner._basis
         shifted = (K_x, c_x + 2.6e-7, *rest)
         inner._basis, inner._floor = shifted, maps._stationarity_floor(inner.H, shifted)
         assert 4.5 < inner._floor < 200.0
         c = np.array([-4.5])
-        assert inner._try_basis(c, -c, 4.5, math.inf) is None
-        assert inner.certified == 1
+        assert inner._try_basis(-c, 4.5, math.inf) is None
+        _, stat, bound = per_price_test(inner, c, -c, 4.5)
+        assert stat > bound
 
     def test_non_finite_piece_has_no_floor(self, combined_1d):
         ev = ExcessEvaluator(combined_1d)
@@ -874,13 +877,13 @@ class TestTrustBudget:
         ev = ExcessEvaluator(instance)
         ev.evaluate([4.0])
         ev.evaluate([4.0])
-        assert ev.certified_hits == 2 and ev.trusted_hits == 0
+        assert ev.fast_hits == 2 and ev.trusted_hits == 0
         return ev
 
     def test_a_repeat_price_is_trusted(self, combined_1d):
         ev = self.trusting(combined_1d)
         got = ev.evaluate([4.0])
-        assert ev.trusted_hits == ev.certified_hits - 2 == 2
+        assert ev.trusted_hits == ev.fast_hits - 2 == 2
         assert (got.supply.tolist(), got.demand.tolist()) == ([2.0], [2.0])
 
     @pytest.mark.parametrize("single, far", [("supply", 30.0), ("demand", -10.0)])
@@ -926,19 +929,26 @@ class TestTrustBudget:
         supply, c, huge = self.trusting(combined_1d)._supply, np.array([-4.0]), np.array([-2e100])
         supply.evaluate(c, -c, 4.0, 0.0)
         assert supply.trusted == 1
-        assert supply._try_basis(huge, -huge, 2e100, 0.0) is None
+        assert supply._try_basis(-huge, 2e100, 0.0) is None
         supply.evaluate(c, -c, 4.0, 0.0)
-        assert supply.trusted == 1 and supply.certified == 3
+        assert supply.trusted == 1 and supply.fast_hits == 3
 
     def test_a_price_below_the_floor_ends_the_chain(self, combined_1d):
-        # As if the piece's stationarity were proven only from 4.2 on: 4.1
-        # runs the per-price test, and 4.5 must then run all of them.
-        supply = self.trusting(combined_1d)._supply
+        # As if the piece's stationarity were proven only from 4.2 on: the
+        # active-set solver answers 4.1 as a cold solve does, and 4.5, on
+        # the piece inverted anew, must then run all the tests.
+        ev = self.trusting(combined_1d)
+        supply, solves = ev._supply, ev.qp_solves
         supply._floor = 4.2
-        for p, step in ((4.1, 0.1), (4.5, 0.4)):
-            c = np.array([-p])
-            supply.evaluate(c, -c, p, step)
-        assert supply.trusted == 0 and supply.certified == 2
+        c = np.array([-4.1])
+        got = supply.evaluate(c, -c, 4.1, 0.1)
+        assert ev.qp_solves == solves + 1
+        cold = qp.solve_qp(maps.supply_problem(combined_1d, np.array([4.1])))
+        np.testing.assert_allclose(got, cold.x, rtol=0.0, atol=1e-12)
+        c = np.array([-4.5])
+        supply.evaluate(c, -c, 4.5, 0.4)
+        assert ev.qp_solves == solves + 1
+        assert supply.trusted == 0 and supply.fast_hits == 2
 
     def test_the_callers_array_may_change_in_place(self, combined_1d):
         ev = self.trusting(combined_1d)
