@@ -16,8 +16,8 @@ order, with the committed ``bits.json``.  The keys are:
     uniform in [0, 100]^50 on the 50/30 instance of trial ``t`` (40
     instances), after one evaluation at its p0.
 ``<workload> counters``
-    The evaluators' fast hits, active-set solves and active-set iterations,
-    summed over the workload.
+    The evaluators' fast hits, active-set solves, active-set iterations,
+    basis inversions and trusted hits, summed over the workload.
 
 Everything is rebuilt from the library alone, the same way as the
 ``protocol`` and ``price-scatter`` benchmark workloads build it.  The 50/30
@@ -63,6 +63,8 @@ def counters(evaluators) -> list[int]:
         sum(ev.fast_hits for ev in evaluators),
         sum(ev.qp_solves for ev in evaluators),
         sum(ev.inner_iterations for ev in evaluators),
+        sum(ev.basis_inversions for ev in evaluators),
+        sum(ev.trusted_hits for ev in evaluators),
     ]
 
 
