@@ -9,17 +9,18 @@ eta up to twice the excess map's co-coercivity modulus.  Its fixed points
 are exactly the equilibrium prices, which makes the scaled distance
 ``vi_residual`` a computable merit for candidate equilibria.
 
-An ``ExcessEvaluator`` owns all per-solve state: the warm start and the
-last optimal working set of each inner program.  The programs themselves
-belong to the instance (``supply_program``, ``demand_program``), and so do
-their read-only rows ``prepared = (H, G, h)`` and cold starts ``phase1``,
-which all of its evaluators share.  While a basis stays optimal the
-minimizer is affine in p (the critical region of a parametric QP), so the
-cached piece answers directly once it passes one KKT certificate (inverted
-lazily behind a cheap screen; stationarity proven once per basis from its
-floor on, the sign and row tests once per ball of prices).  Below the floor
-the active-set solver answers.  Use one evaluator per solver run; instances
-themselves are immutable and shareable.
+An ``ExcessEvaluator`` owns all per-solve state: the warm start, the last
+optimal working set and the one cached piece of each inner program.  The
+programs themselves belong to the instance (``supply_program``,
+``demand_program``), and so do their read-only rows ``prepared = (H, G, h)``
+and cold starts ``phase1``, which all of its evaluators share.  While a
+basis stays optimal the minimizer is affine in p (the critical region of a
+parametric QP), so the cached piece answers directly once it passes one KKT
+certificate (kept as the working set until a cheap screen passes, then as
+its inverse blocks, floor and rates; stationarity proven once per basis from
+its floor on, the sign and row tests once per ball of prices).  Below the
+floor the active-set solver answers.  Use one evaluator per solver run;
+instances themselves are immutable and shareable.
 """
 
 from __future__ import annotations
@@ -43,14 +44,14 @@ PIECE_PMAX = 1e100
 _max, _min = qp._max, qp._min
 
 
-def _stationarity_floor(H: FloatArray, basis) -> float:
-    """The least max|c| from which ``_invert``'s piece ``basis`` is stationary
-    to CERTIFY_TOL (1 + max|c|) at every c, whatever the rounding; else +inf.
-    In Higham's (2002, section 3.1) rounding model, for any summation order,
-    the computed ||H x + c + G_w' lam|| <= a + b max|c|, and from the floor
-    on that is at most tau (1 + max|c|), half that bound.  README derives a
-    and b."""
-    K_x, c_x, K_l, c_l, GwT = basis
+def _stationarity_floor(H: FloatArray, GwT: FloatArray, blocks) -> float:
+    """The least max|c| from which the piece ``blocks`` of working-set rows
+    ``GwT'`` is stationary to CERTIFY_TOL (1 + max|c|) at every c, whatever
+    the rounding; else +inf.  In Higham's (2002, section 3.1) rounding model,
+    for any summation order, the computed ||H x + c + G_w' lam|| <= a + b
+    max|c|, and from the floor on that is at most tau (1 + max|c|), half that
+    bound.  README derives a and b."""
+    K_x, c_x, K_l, c_l = blocks
     top, K, c0 = np.hstack((H, GwT)), np.vstack((K_x, K_l)), np.concatenate((c_x, c_l))
     ku = (2 * top.shape[1] + 3) * 2.0**-53  # k u, k = 2 (n + w) + 3 roundings
     g, tau, sqrt_n = 2.0 * ku / (1.0 - ku), 0.5 * CERTIFY_TOL, math.sqrt(len(H))  # g = 2 gamma
@@ -62,11 +63,11 @@ def _stationarity_floor(H: FloatArray, basis) -> float:
     return max(a - tau, 0.0) / (tau - b) if b < tau and a < math.inf else math.inf
 
 
-def _trust_rates(G: FloatArray, h: FloatArray, hscale: float, basis) -> tuple:
-    """``_InnerMap._recenter``'s constants for the piece ``basis``: 1 / the l1
+def _trust_rates(G: FloatArray, h: FloatArray, hscale: float, blocks) -> tuple:
+    """``_InnerMap._recenter``'s constants for the piece ``blocks``: 1 / the l1
     norm of each row of K_l and of G K_x (bounds, floored at 2^-600), and each
     test's slack over the rounding, s0 - s1 max|c|.  README derives them."""
-    K_x, c_x, K_l, c_l, _ = basis
+    K_x, c_x, K_l, c_l = blocks
     g = (len(K_x) + 1) * 2.0**-53
     eps, shrink, thr = 8.0 * g / (1.0 - g), 1.0 - 2.0**-20, min(1e-9 * hscale, CERTIFY_TOL)
     with np.errstate(all="ignore"):  # a non-finite piece has no floor, so no radius
@@ -114,25 +115,26 @@ class _InnerMap:
 
     Until a solve succeeds, it starts cold from the program's ``phase1``
     (zero when feasible, else a phase-1 point); later solves warm-start from
-    the last solution and working set.  Only the last optimal solve's
-    working set is kept; its KKT matrix is rebuilt from the program's shared
-    rows and inverted at the first price whose solve of it passes
-    ``_screen``.  While that basis stays optimal, a new price costs a few
-    small matrix-vector products plus one certificate check, and none while
-    the steps since the last checked hit stay within its ``_recenter``.
+    the last solution and working set.  ``_piece`` is the one cached piece:
+    None, the last optimal solve's working set as a list, or, once a price's
+    solve of its KKT system passes ``_screen``, the inverted tuple ``(K_x,
+    c_x, K_l, c_l, floor, rates)``, its KKT matrix rebuilt from the
+    program's shared rows.  While that basis stays optimal, a new price
+    costs a few small matrix-vector products plus one certificate check, and
+    none while the steps since the last checked hit stay within its
+    ``_recenter``.
     """
 
     def __init__(self, kind: str, problem: qp.QpProblem):
         self.kind = kind
         self.problem = problem
         self.H, self.G, self.h = problem.prepared
-        self.hscale = 1.0 + qp._hscale(self.h)
+        self.hscale = 1.0 + _max(abs(self.h))
         self.last_x: FloatArray | None = None
         self.last_wset: tuple[int, ...] | None = None
-        self._pending: list[int] | None = None  # working set of the last solve, not yet inverted
-        self._basis = None  # (K_x, c_x, K_l, c_l, G_w_T), each at most n x max(n, w)
-        self._floor = math.inf  # _stationarity_floor of _basis
-        self._rates = None  # _trust_rates of _basis
+        # None, last_wset as a list waiting for _screen, or its inverted piece:
+        # blocks each at most n x max(n, w), _stationarity_floor, _trust_rates.
+        self._piece: list[int] | tuple | None = None
         self._budget = -math.inf  # the last _recenter's radius, less the steps since
         self.solves = 0
         self.fast_hits = 0
@@ -140,45 +142,30 @@ class _InnerMap:
         self.iterations = 0
         self.inversions = 0
 
-    def _pending_system(self) -> tuple[FloatArray, FloatArray, FloatArray]:
-        """KKT matrix, rows and right-hand side of the pending working set."""
-        Gw = self.G[self._pending]
-        return qp.kkt_matrix(self.H, Gw), Gw, self.h[self._pending]
-
-    def _screen(self, neg_c: FloatArray, system=None) -> bool:
+    def _screen(self, neg_c: FloatArray) -> bool:
         """Whether the pending piece can be optimal at linear term -neg_c: one
-        solve of its KKT system, tested 1000x looser than ``_try_basis``."""
-        kkt, _, hw = system or self._pending_system()
-        n = self.H.shape[0]
-        try:
+        solve of its KKT system, tested 1000x looser than ``_try_basis``.  A
+        piece that passes is inverted in place; a singular one is dropped."""
+        wset, n = self._piece, self.H.shape[0]
+        Gw, hw = self.G[wset], self.h[wset]
+        kkt = qp.kkt_matrix(self.H, Gw)
+        try:  # if solve raises, inv would raise on the same matrix
             z = np.linalg.solve(kkt, np.concatenate((neg_c, hw)))
-        except np.linalg.LinAlgError:  # inv would raise on the same matrix
-            self._pending = None
-            return False
-        x, lam = z[:n], z[n:]
-        if lam.size and not _min(lam) >= -1e-6 * (1.0 + _max(abs(lam))):
-            return False
-        return _max(self.G.dot(x) - self.h) <= 1e-6 * self.hscale * (1.0 + _max(abs(x)))
-
-    def _invert(self, system=None) -> None:
-        # Copies of the two blocks in use let the inverse go.  A view of the
-        # KKT matrix as G_w_T would have strides that take another BLAS kernel.
-        (kkt, Gw, hw), self._pending = system or self._pending_system(), None
-        n = self.H.shape[0]
-        self.inversions += 1
-        try:
+            x, lam = z[:n], z[n:]
+            if lam.size and not _min(lam) >= -1e-6 * (1.0 + _max(abs(lam))):
+                return False
+            if not _max(self.G.dot(x) - self.h) <= 1e-6 * self.hscale * (1.0 + _max(abs(x))):
+                return False
+            self.inversions += 1
             inv = np.linalg.inv(kkt)
         except np.linalg.LinAlgError:
-            return
-        self._basis = (
-            inv[:n, :n].copy(),
-            inv[:n, n:] @ hw,
-            inv[n:, :n].copy(),
-            inv[n:, n:] @ hw,
-            Gw.T,
-        )
-        self._floor = _stationarity_floor(self.H, self._basis)
-        self._rates = _trust_rates(self.G, self.h, self.hscale, self._basis)
+            self._piece = None
+            return False
+        # Copies of the two blocks in use let the inverse go.
+        blocks = (inv[:n, :n].copy(), inv[:n, n:] @ hw, inv[n:, :n].copy(), inv[n:, n:] @ hw)
+        floor = _stationarity_floor(self.H, Gw.T, blocks)
+        self._piece = (*blocks, floor, _trust_rates(self.G, self.h, self.hscale, blocks))
+        return True
 
     def _try_basis(self, neg_c: FloatArray, cmax: float, step: float):
         """The cached affine piece at linear term -neg_c, if it is certified optimal.
@@ -196,15 +183,16 @@ class _InnerMap:
             self._budget = -math.inf
             return None
         self._budget = self._budget * (1.0 - 2.0**-30) - step  # the shrink outweighs rounding
-        if self._budget >= 0.0 and self._floor <= cmax:
+        piece = self._piece
+        if self._budget >= 0.0 and piece[4] <= cmax:  # a budget implies an inverted piece
             self.trusted += 1
-            return self._basis[0].dot(neg_c) + self._basis[1]
+            return piece[0].dot(neg_c) + piece[1]
         self._budget = -math.inf
-        if self._pending is not None:
-            if not self._screen(neg_c, system := self._pending_system()):
+        if type(piece) is list:
+            if not self._screen(neg_c):
                 return None
-            self._invert(system)
-        if self._basis is None or not self._floor <= cmax:
+            piece = self._piece
+        if piece is None or not piece[4] <= cmax:
             return None
         # The bench iteration counts must not drift, so every operation here
         # keeps its order and operands.  Products are .dot (the BLAS call of
@@ -213,7 +201,7 @@ class _InnerMap:
         # itself; they may differ from np.max/np.min only in the sign of a
         # zero, and each result here is either taken of abs values or only
         # compared.
-        K_x, c_x, K_l, c_l, _ = self._basis
+        K_x, c_x, K_l, c_l, _, rates = piece
         x = K_x.dot(neg_c) + c_x
         lam = K_l.dot(neg_c) + c_l
         if lam.size and not _min(lam) >= -1e-9:
@@ -222,13 +210,13 @@ class _InnerMap:
         viol = max(_max(r), 0.0)
         if not (viol <= 1e-9 * self.hscale and viol <= CERTIFY_TOL * (1.0 + cmax)):
             return None
-        self._recenter(lam, r, cmax)
+        self._recenter(lam, r, cmax, rates)
         return x
 
-    def _recenter(self, lam: FloatArray, r: FloatArray, cmax: float) -> None:
-        """Budget a radius in max|c|, at most cmax + 1, within which the sign
-        and row tests that just gave ``lam`` and ``r`` are sure to pass."""
-        inv_l, l0, l1, inv_r, r0, r1 = self._rates
+    def _recenter(self, lam: FloatArray, r: FloatArray, cmax: float, rates: tuple) -> None:
+        """Budget a radius in max|c|, at most cmax + 1, within which the sign and
+        row tests that just gave ``lam`` and ``r`` on the piece of ``rates`` pass."""
+        inv_l, l0, l1, inv_r, r0, r1 = rates
         s_l, s_r = l0 - l1 * cmax, r0 - r1 * cmax
         if s_l > 0.0 and s_r > 0.0:
             rho = min(cmax + 1.0, _min((s_r - r) * inv_r))
@@ -265,7 +253,7 @@ class _InnerMap:
             )
         self.last_x = sol.x
         self.last_wset = sol.working_set
-        self._pending, self._basis = list(sol.working_set), None
+        self._piece = list(sol.working_set)
         return sol.x
 
 

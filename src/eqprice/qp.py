@@ -287,7 +287,7 @@ def _active_set(
     """
     n = H.shape[0]
     h = h0.copy()
-    hs = 1.0 + _hscale(h)
+    hs = 1.0 + _max(abs(h))
     x = x0.copy()
     wset = _initial_working_set(G, h, x, working_set, n)
     size = n + G.shape[0]  # a working set never holds a row twice
@@ -549,10 +549,6 @@ def residual_scale(cmax: float, hx: FloatArray) -> float:
     """``1 + max|c| + max|Hx|`` from ``cmax = max|c|`` and ``hx = Hx``: the scale
     on which an optimal solve's KKT residual meets ``DEFAULT_TOL``."""
     return 1.0 + cmax + _max(abs(hx))
-
-
-def _hscale(h: FloatArray) -> float:
-    return float(np.max(np.abs(h), initial=0.0))
 
 
 def as_floats(value, name: str, shape: tuple[int | None, ...]) -> FloatArray:

@@ -21,12 +21,13 @@ SRC = str(Path(maps.__file__).resolve().parents[1])
 
 def test_outputs_match_the_committed_corpus():
     # A child process, so that the benchmark's single BLAS thread holds
-    # whatever this process has loaded (about 8 s).
+    # whatever this process has loaded (about 8 s).  A RuntimeWarning is an
+    # error there too, as in this process under pytest's settings.
     path = [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     out = subprocess.run(
-        [sys.executable, str(GOLDEN / "corpus.py")],
+        [sys.executable, "-W", "error::RuntimeWarning", str(GOLDEN / "corpus.py")],
         env=env, capture_output=True, text=True, check=True, timeout=600,
     )
     got = json.loads(out.stdout)

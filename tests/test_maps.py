@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 import warnings
 import weakref
 from pathlib import Path
@@ -390,6 +391,30 @@ def scatter_case(seed: int, case: int) -> dict:
     return json.loads(out.stdout)
 
 
+def linalg_in_maps(monkeypatch, **functions) -> None:
+    """Give ``maps`` an ``np.linalg`` whose ``functions`` are replaced; the
+    active-set solver keeps the real one."""
+    linalg = types.SimpleNamespace(**{**vars(np.linalg), **functions})
+    monkeypatch.setattr(maps, "np", types.SimpleNamespace(**{**vars(np), "linalg": linalg}))
+
+
+def refuse(*args):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def working_rows_T(inner):
+    """G_w' of the working set whose solve gave ``inner``'s inverted piece."""
+    return inner.G[list(inner.last_wset)].T
+
+
+def with_shifted_c_x(inner, shift: float) -> None:
+    """Shift c_x of ``inner``'s inverted piece, its stationarity floor
+    re-derived as ``_screen`` derives it."""
+    K_x, c_x, K_l, c_l, _, rates = inner._piece
+    blocks = (K_x, c_x + shift, K_l, c_l)
+    inner._piece = (*blocks, maps._stationarity_floor(inner.H, working_rows_T(inner), blocks), rates)
+
+
 class TestEvaluatorCaching:
     def test_repeat_price_reuses_basis(self, combined_1d):
         ev = ExcessEvaluator(combined_1d)
@@ -415,14 +440,12 @@ class TestEvaluatorCaching:
         # 4.5) but below 1e-6.  The piece must be rejected, not raised on,
         # and one active-set solve must answer exactly.  The second call at
         # 4.0 is a fast hit, which inverts the cached piece.  The tampered
-        # piece's stationarity floor is re-derived as _invert derives it.
+        # piece's stationarity floor is re-derived as _screen derives it.
         ev = ExcessEvaluator(combined_1d)
         ev.evaluate([4.0])
         ev.evaluate([4.0])
         assert ev.fast_hits == 2
-        K_x, c_x, *rest = ev._supply._basis
-        ev._supply._basis = (K_x, c_x + 2.6e-7, *rest)
-        ev._supply._floor = maps._stationarity_floor(ev._supply.H, ev._supply._basis)
+        with_shifted_c_x(ev._supply, 2.6e-7)
         solves = ev.qp_solves
         ev_45 = ev.evaluate([4.5])
         assert ev.qp_solves == solves + 1
@@ -431,11 +454,7 @@ class TestEvaluatorCaching:
     def test_singular_pending_piece_is_dropped(self, combined_1d, monkeypatch):
         # A singular KKT block makes _screen's solve raise: the pending piece
         # is dropped uninverted, and each price is answered by an active-set solve.
-        def singular(inner):
-            Gw = inner.G[inner._pending]
-            return np.zeros((inner.H.shape[0] + len(Gw),) * 2), Gw, inner.h[inner._pending]
-
-        monkeypatch.setattr(maps._InnerMap, "_pending_system", singular)
+        linalg_in_maps(monkeypatch, solve=refuse)
         ev = ExcessEvaluator(combined_1d)
         for p in (4.0, 4.0, 4.5):
             out = ev.evaluate([p])
@@ -444,17 +463,33 @@ class TestEvaluatorCaching:
         assert (ev.qp_solves, ev.fast_hits, ev.basis_inversions) == (6, 0, 0)
 
     def test_failed_inversion_leaves_no_basis(self, combined_1d, monkeypatch):
-        # The piece passes _screen, but inverting its KKT matrix raises: the
-        # inversion counts, no basis is cached and the active-set solve answers.
-        def refuse(a):
-            raise np.linalg.LinAlgError("Singular matrix")
-
-        monkeypatch.setattr(maps.np.linalg, "inv", refuse)
+        # The piece passes _screen's tests, but inverting its KKT matrix raises:
+        # the inversion counts, no basis is cached and the active-set solve answers.
+        linalg_in_maps(monkeypatch, inv=refuse)
         ev = ExcessEvaluator(combined_1d)
         for _ in range(2):
             np.testing.assert_allclose(ev.supply([4.0]), [2.0], rtol=0, atol=1e-12)
-        assert ev._supply._basis is None
+        assert type(ev._supply._piece) is list  # the second solve's, uninverted
         assert (ev._supply.inversions, ev.fast_hits, ev.qp_solves) == (1, 0, 2)
+
+    def test_a_failed_screen_keeps_the_pending_piece(self, combined_1d):
+        # After the solve at 4 supply's pending piece is its interior working
+        # set.  At 30 that piece would put x = 15 past the bound 10: its
+        # screen fails and leaves the same working set pending, uninverted,
+        # and the active-set solver answers.  At 31 the screen passes on the
+        # working set of that solve, which is inverted and answers.
+        ev = ExcessEvaluator(combined_1d)
+        ev.supply([4.0])
+        supply, pending = ev._supply, ev._supply._piece
+        assert type(pending) is list
+        assert supply._try_basis(np.array([30.0]), 30.0, math.inf) is None
+        assert supply._piece is pending and ev.basis_inversions == 0
+        np.testing.assert_allclose(ev.supply([30.0]), [10.0], rtol=0, atol=1e-12)
+        assert (ev.qp_solves, ev.basis_inversions, ev.fast_hits) == (2, 0, 0)
+        assert type(supply._piece) is list
+        np.testing.assert_allclose(ev.supply([31.0]), [10.0], rtol=0, atol=1e-12)
+        assert (ev.qp_solves, ev.basis_inversions, ev.fast_hits) == (2, 1, 1)
+        assert type(supply._piece) is tuple
 
     @staticmethod
     def scattered_prices(n: int, m: int) -> tuple[str, tuple[int, int]]:
@@ -497,25 +532,30 @@ class TestEvaluatorCaching:
     @pytest.mark.parametrize("n, m", [(10, 8), (30, 20)])
     def test_screen_never_rejects_a_certified_piece(self, n, m):
         # Before each evaluation, every piece still waiting for its inverse is
-        # screened, and also inverted and certified on a copy.  The screen may
-        # pass a piece that the certificate rejects, never the reverse.  Two
-        # prices in three are scattered and the third stays near the last
-        # one, so that both verdicts occur about equally often.
+        # screened, and also inverted and certified on a copy; the copy is
+        # inverted by its screen at the price of its solve, where it is
+        # optimal.  The screen may pass a piece that the certificate rejects,
+        # never the reverse.  Two prices in three are scattered and the third
+        # stays near the last one, so that both verdicts occur about equally
+        # often.
         verdicts = collections.Counter()
         rng = np.random.default_rng(7)
         for trial in range(3):
             inst = random_instance(GenConfig(n=n, m=m, seed=trial_seed(42, n, m, trial)))
             ev = ExcessEvaluator(inst)
-            p = inst.p0
+            p, solved_at = inst.p0, {}
             for step in range(30):
                 pmax = float(np.max(np.abs(p)))
-                for inner, c in ((ev._supply, -p), (ev._demand, p)):
-                    if inner._pending is not None:
+                programs = ((ev._supply, -p), (ev._demand, p))
+                for inner, c in programs:
+                    if type(inner._piece) is list:
                         forced = copy.copy(inner)
-                        forced._invert()
+                        assert forced._screen(-solved_at[inner.kind])
                         exact = forced._try_basis(-c, pmax, math.inf) is not None
                         verdicts[copy.copy(inner)._screen(-c), exact] += 1
                 ev.evaluate(p)
+                # A piece pending after an evaluation comes from a solve at p.
+                solved_at.update((inner.kind, c) for inner, c in programs if type(inner._piece) is list)
                 if step % 3 == 2:
                     p = p * rng.uniform(0.99, 1.01, size=n)
                 else:
@@ -643,25 +683,25 @@ def per_price_test(inner, c, neg_c, cmax) -> tuple[float, float, float]:
     piece at c, on the active-set solver's scale ``qp.residual_scale``: the
     reference that the piece's stationarity floor stands in for.  x and lam
     are formed with ``_try_basis``'s operations and operands."""
-    K_x, c_x, K_l, c_l, GwT = inner._basis
+    K_x, c_x, K_l, c_l = inner._piece[:4]
     x = K_x.dot(neg_c) + c_x
     lam = K_l.dot(neg_c) + c_l
     viol = max(qp._max(inner.G.dot(x) - inner.h), 0.0)
     hx = inner.H.dot(x)
-    r = hx + c + GwT.dot(lam)
+    r = hx + c + working_rows_T(inner).dot(lam)
     return viol, math.sqrt(r.dot(r)), maps.CERTIFY_TOL * qp.residual_scale(cmax, hx)
 
 
 def sign_and_row_tests_pass(inner, c, neg_c, cmax) -> bool:
     """Whether the cached piece at c passes ``_try_basis``'s floor, sign and
     row tests, each run as it runs them."""
-    K_l, c_l = inner._basis[2:4]
+    K_l, c_l, floor = inner._piece[2:5]
     lam = K_l.dot(neg_c) + c_l
     viol, _, _ = per_price_test(inner, c, neg_c, cmax)
     return (
         (not lam.size or qp._min(lam) >= -1e-9)
         and viol <= 1e-9 * inner.hscale
-        and inner._floor <= cmax
+        and floor <= cmax
         and viol <= maps.CERTIFY_TOL * (1.0 + cmax)
     )
 
@@ -785,17 +825,20 @@ class TestStationarityFloor:
         # Any working set's piece, optimal or not, its blocks perturbed so
         # that its residual R c + r0 is not all rounding.  At max|c| from the
         # floor on, the price that drives one row of it hardest must still
-        # give a stat within half the certificate's least scale.
+        # give a stat within half the certificate's least scale.  The blocks
+        # are inverted as _screen inverts a piece that passes.
         rng = np.random.default_rng(seed)
         problem, _ = random_qp(rng, with_utility_row=utility_row)
         inner = maps._InnerMap("supply", problem)
         n, rows = problem.n, len(inner.h)
-        inner._pending = sorted(rng.choice(rows, size=int(rng.integers(0, n + 1)), replace=False).tolist())
-        inner._invert()
-        *blocks, GwT = inner._basis
+        wset = sorted(rng.choice(rows, size=int(rng.integers(0, n + 1)), replace=False).tolist())
+        Gw, hw = inner.G[wset], inner.h[wset]
+        inv = np.linalg.inv(qp.kkt_matrix(inner.H, Gw))
+        blocks = (inv[:n, :n], inv[:n, n:] @ hw, inv[n:, :n], inv[n:, n:] @ hw)
         K_x, c_x, K_l, c_l = (block + noise * rng.standard_normal(block.shape) for block in blocks)
-        inner._basis = (K_x, c_x, K_l, c_l, GwT)
-        floor = maps._stationarity_floor(inner.H, inner._basis)
+        GwT = Gw.T
+        floor = maps._stationarity_floor(inner.H, GwT, (K_x, c_x, K_l, c_l))
+        inner._piece, inner.last_wset = (K_x, c_x, K_l, c_l, floor, None), tuple(wset)
         if floor == math.inf:
             return
         R = np.eye(n) - inner.H @ K_x - GwT @ K_l
@@ -843,11 +886,9 @@ class TestStationarityFloor:
         ev.evaluate([4.0])
         ev.evaluate([4.0])
         inner = ev._supply
-        assert inner._floor == 0.0 and ev.fast_hits == 2
-        K_x, c_x, *rest = inner._basis
-        shifted = (K_x, c_x + 2.6e-7, *rest)
-        inner._basis, inner._floor = shifted, maps._stationarity_floor(inner.H, shifted)
-        assert 4.5 < inner._floor < 200.0
+        assert inner._piece[4] == 0.0 and ev.fast_hits == 2
+        with_shifted_c_x(inner, 2.6e-7)
+        assert 4.5 < inner._piece[4] < 200.0
         c = np.array([-4.5])
         assert inner._try_basis(-c, 4.5, math.inf) is None
         _, stat, bound = per_price_test(inner, c, -c, 4.5)
@@ -857,12 +898,12 @@ class TestStationarityFloor:
         ev = ExcessEvaluator(combined_1d)
         ev.evaluate([4.0])
         ev.evaluate([4.0])
-        K_x, c_x, *rest = ev._supply._basis
+        H, GwT, (K_x, c_x, K_l, c_l) = ev._supply.H, working_rows_T(ev._supply), ev._supply._piece[:4]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for bad in (np.nan, np.inf, 1e300):
-                assert maps._stationarity_floor(ev._supply.H, (K_x, c_x + bad, *rest)) == math.inf
-                assert maps._stationarity_floor(ev._supply.H, (K_x + bad, c_x, *rest)) == math.inf
+                assert maps._stationarity_floor(H, GwT, (K_x, c_x + bad, K_l, c_l)) == math.inf
+                assert maps._stationarity_floor(H, GwT, (K_x + bad, c_x, K_l, c_l)) == math.inf
 
 
 class TestTrustBudget:
@@ -939,7 +980,8 @@ class TestTrustBudget:
         # the piece inverted anew, must then run all the tests.
         ev = self.trusting(combined_1d)
         supply, solves = ev._supply, ev.qp_solves
-        supply._floor = 4.2
+        K_x, c_x, K_l, c_l, _, rates = supply._piece
+        supply._piece = (K_x, c_x, K_l, c_l, 4.2, rates)
         c = np.array([-4.1])
         got = supply.evaluate(c, -c, 4.1, 0.1)
         assert ev.qp_solves == solves + 1
@@ -971,7 +1013,7 @@ class TestTrustBudget:
         inner.evaluate(c0, -c0, cmax0, math.inf)
         if not inner._budget >= 0.0:
             return
-        rho, (K_x, c_x, K_l, c_l, _), rates = inner._budget, inner._basis, inner._rates
+        rho, (K_x, c_x, K_l, c_l, _, rates) = inner._budget, inner._piece
         lam, r = K_l @ -c0 + c_l, inner.G @ (K_x @ -c0 + c_x) - inner.h
         directions = [np.sign(inner.G @ K_x)[int(np.argmin((rates[4] - r) * rates[3]))]]
         if lam.size:
@@ -1016,17 +1058,19 @@ class TestEvaluatorFootprint:
         ev = ExcessEvaluator(inst)
         ev.evaluate(inst.p0)
         n = inst.n
-        for inner in (ev._supply, ev._demand):
-            assert inner._basis is None
-            assert type(inner._pending) is list
-            assert all(type(i) is int for i in inner._pending)
+        for inner, neg_c in ((ev._supply, inst.p0), (ev._demand, -inst.p0)):
+            assert type(inner._piece) is list
+            assert all(type(i) is int for i in inner._piece)
             own = {k for k, v in vars(inner).items() if isinstance(v, np.ndarray)}
             assert own == {"H", "G", "h", "last_x"}
-            w = len(inner._pending)
-            inner._invert()
-            assert inner._pending is None and inner.inversions == 1
-            assert len(inner._basis) == 5
-            for block in inner._basis:
+            w = len(inner._piece)
+            assert inner._screen(neg_c)  # at the price of its solve, where it is optimal
+            assert inner.inversions == 1
+            *blocks, floor, rates = inner._piece
+            assert isinstance(floor, float) and type(rates) is tuple
+            # The inverted piece keeps K_x, c_x, K_l and c_l, and no G_w'.
+            assert [block.shape for block in blocks] == [(n, n), (n,), (w, n), (w,)]
+            for block in blocks:
                 assert block.size <= n * max(n, w)
                 assert block.base is None or block.base.size == block.size
         # The compact basis answers as the pending one did: a repeat price is
