@@ -132,9 +132,7 @@ class _InnerMap:
         self.hscale = 1.0 + _max(abs(self.h))
         self.last_x: FloatArray | None = None
         self.last_wset: tuple[int, ...] | None = None
-        # None, last_wset as a list waiting for _screen, or its inverted piece:
-        # blocks each at most n x max(n, w), _stationarity_floor, _trust_rates.
-        self._piece: list[int] | tuple | None = None
+        self._piece: list[int] | tuple | None = None  # inverted blocks at most n x max(n, w)
         self._budget = -math.inf  # the last _recenter's radius, less the steps since
         self.solves = 0
         self.fast_hits = 0
